@@ -90,9 +90,12 @@
 //     text and JSON-lines). With no probe attached every hook is one
 //     nil check and the hot loops stay at 0 allocs/op
 //     (BenchmarkProbeOff, CI-gated); with a probe attached the results
-//     are bit-identical to an unprobed run, and sweeps collect their
-//     observation from a dedicated pass whose seed ignores the shard
-//     split, so the same Options yield the same trace set at any shard
+//     are bit-identical to an unprobed run. Rate sweeps observe through
+//     shard 0, whose seed ignores the shard split: it runs the full
+//     cycle budget with the observers attached, hands the merge its
+//     measured partial at its share boundary and keeps running for the
+//     observation, so observing costs only the cycles beyond shard 0's
+//     share and the same Options yield the same trace set at any shard
 //     count. See cmd/edn-trace and the -trace/-heatmap flags on
 //     edn-latency, edn-lifetime and edn-loop.
 //   - Jobs and service: JobSpec is the single serializable description
@@ -153,8 +156,8 @@
 //     like "which hot output is really responsible for this tail".
 //     Closed-loop requests get a five-way split instead: client-queue,
 //     retry-wait, forward-fabric, service, reply-fabric. Reports are
-//     shard-mergeable and ride the same dedicated observation pass as
-//     the probe, so explaining a run never moves a measured number
+//     shard-mergeable and ride shard 0's observation run with the
+//     probe, so explaining a run never moves a measured number
 //     (byte-identity property-tested, fault churn included) and a
 //     detached collector costs one nil check per hook
 //     (BenchmarkAnatomyOff, 0 allocs/op, CI-gated). The surface is a

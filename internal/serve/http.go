@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -10,9 +11,15 @@ import (
 	"edn"
 )
 
+// maxJobBytes caps a job request body. A JobSpec is a few hundred
+// bytes; the cap keeps a careless or hostile client from making the
+// decoder buffer an unbounded body.
+const maxJobBytes = 1 << 20
+
 // Handler returns the HTTP face of the server:
 //
-//	POST /v1/jobs        body = one JobSpec JSON document; the response
+//	POST /v1/jobs        body = one JobSpec JSON document of at most
+//	                     maxJobBytes (larger bodies get 413); the response
 //	                     streams the job's event lines as NDJSON
 //	                     (accepted, point..., result|error), flushed per
 //	                     event so a client sees sweep points live. The
@@ -69,10 +76,15 @@ func (s *Server) Handler() http.Handler {
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, explain bool) {
 	var spec edn.JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		http.Error(w, fmt.Sprintf("bad spec: %v", err), http.StatusBadRequest)
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, fmt.Sprintf("bad spec: %v", err), status)
 		return
 	}
 	if explain && spec.Explain == nil {

@@ -289,6 +289,41 @@ func TestStdioBadRequests(t *testing.T) {
 	c.shutdown()
 }
 
+// TestHTTPBodyCap pins the request-body cap: a 2 MiB body is refused
+// with 413 before it is decoded, while a spec padded to just under the
+// 1 MiB cap still runs.
+func TestHTTPBodyCap(t *testing.T) {
+	s := serve.New(serve.Options{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	huge := `{"mode":"` + strings.Repeat("x", 2<<20) + `"}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body) //nolint:errcheck
+	resp.Body.Close()              //nolint:errcheck
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2 MiB body: status %d, want 413", resp.StatusCode)
+	}
+
+	spec, err := json.Marshal(estimateSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded := strings.Repeat(" ", 1<<20-len(spec)) + string(spec)
+	resp, err = http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(padded))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close() //nolint:errcheck
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"event":"result"`) {
+		t.Fatalf("body at the cap: status %d, %s", resp.StatusCode, body)
+	}
+}
+
 func TestHTTPEndpoints(t *testing.T) {
 	s := serve.New(serve.Options{Workers: 2})
 	ts := httptest.NewServer(s.Handler())

@@ -3,7 +3,6 @@ package simulate
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"edn/internal/anatomy"
 	"edn/internal/closedloop"
@@ -57,9 +56,10 @@ type ClosedLoopResult struct {
 
 	// Observed carries the flight-recorder report when Options.Probe
 	// was set: sampled request traces (attempt-numbered issue, timeout,
-	// retry and completion events) plus per-cycle ledger-gauge heat,
-	// from a dedicated sequential observation pass (see sweepLoads for
-	// the determinism argument).
+	// retry and completion events) plus per-cycle ledger-gauge heat
+	// over the whole measurement window, from shard 0 running the full
+	// cycle budget with the probe attached (see runPoint for the
+	// determinism argument).
 	Observed *probe.Report
 }
 
@@ -125,54 +125,69 @@ func ledgerAdd(into *closedloop.Ledger, d closedloop.Ledger) {
 }
 
 // runClosedLoopShard builds a fresh loop over fresh fabrics, runs
-// warmup + cycles, asserts conservation, and returns the
-// measurement-window deltas.
-func runClosedLoopShard(build func() (fwd, rev closedloop.Engine, err error), inputs, outputs int, lo closedloop.Options, warmup, cycles int, po *probe.Options, ao *anatomy.Options, onAnat func(*anatomy.Report)) closedLoopPartial {
+// r.opts.Warmup + r.opts.Cycles cycles and returns the
+// measurement-window deltas of the first r.share measured cycles,
+// asserting conservation and calling r.atShare the moment they are
+// taken. The probe and the anatomy collector in r.opts attach at the
+// measurement boundary and keep running to the end (see runPoint).
+func runClosedLoopShard(build func() (fwd, rev closedloop.Engine, err error), inputs, outputs int, lo closedloop.Options, r shardRun) closedLoopPartial {
+	run, share := r.opts, r.share
+	r.building.Lock()
 	fwd, rev, err := build()
+	var loop *closedloop.Loop
+	if err == nil {
+		loop, err = closedloop.New(fwd, rev, inputs, outputs, lo)
+	}
+	r.building.Unlock()
 	if err != nil {
 		return closedLoopPartial{err: err}
 	}
-	loop, err := closedloop.New(fwd, rev, inputs, outputs, lo)
-	if err != nil {
-		return closedLoopPartial{err: err}
-	}
-	for c := 0; c < warmup; c++ {
+	for c := 0; c < run.Warmup; c++ {
 		if _, err := loop.Cycle(); err != nil {
 			return closedLoopPartial{err: err}
 		}
 	}
 	warmLed, warmSLA := loop.Ledger(), loop.SLACredit()
 	loop.ResetLatency()
-	pr := newProbe(po, cycles)
+	pr := newProbe(run.Probe, run.Cycles)
 	if pr != nil {
 		loop.SetProbe(pr)
 	}
 	var an *anatomy.Collector
-	if ao != nil {
+	if run.Anatomy != nil {
 		// Attached at the measurement boundary, like the probe: the
 		// five-way request split covers completions inside the window.
-		an = anatomy.New(*ao)
+		an = anatomy.New(*run.Anatomy)
 		loop.SetAnatomy(an)
 	}
-	for c := 0; c < cycles; c++ {
+	var part closedLoopPartial
+	for c := 0; c < run.Cycles; c++ {
 		if _, err := loop.Cycle(); err != nil {
 			return closedLoopPartial{err: err}
 		}
+		if c+1 == share {
+			if err := loop.CheckConservation(); err != nil {
+				return closedLoopPartial{err: err}
+			}
+			part = closedLoopPartial{
+				led:    ledgerDelta(loop.Ledger(), warmLed),
+				sla:    loop.SLACredit() - warmSLA,
+				hist:   loop.Latency().Clone(),
+				cycles: share,
+			}
+			r.atShare()
+		}
 	}
-	if err := loop.CheckConservation(); err != nil {
-		return closedLoopPartial{err: err}
-	}
-	if an != nil && onAnat != nil {
-		onAnat(an.Report())
-	}
-	part := closedLoopPartial{
-		led:    ledgerDelta(loop.Ledger(), warmLed),
-		sla:    loop.SLACredit() - warmSLA,
-		hist:   loop.Latency().Clone(),
-		cycles: cycles,
+	if share < run.Cycles {
+		if err := loop.CheckConservation(); err != nil {
+			return closedLoopPartial{err: err}
+		}
 	}
 	if pr != nil {
 		part.rep = pr.Report()
+	}
+	if an != nil && run.OnAnatomy != nil {
+		run.OnAnatomy(an.Report())
 	}
 	return part
 }
@@ -201,69 +216,45 @@ func sweepClosedLoop(inputs, outputs int, rates []float64, lo closedloop.Options
 
 // sweepClosedLoopPoint measures one demand-rate point — point `index`
 // on the sweep's rate axis — with the seed derivation the batch sweep
-// has always used. Callers must have normalized shards and applied
+// has always used. When opts.Probe or opts.Anatomy is set, shard 0
+// doubles as the point's observation run (see runPoint): it runs the
+// full cycle budget under seeds[0] with the observers attached from the
+// measurement boundary, contributes its measured partial from its share
+// boundary, and fills Observed, so the merge stays bit-identical to an
+// unobserved sweep. Callers must have normalized shards and applied
 // opts.withDefaults.
 func sweepClosedLoopPoint(inputs, outputs int, rate float64, index int, lo closedloop.Options, opts Options, shards int, build func() (fwd, rev closedloop.Engine, err error)) (ClosedLoopResult, error) {
-	// Derive shard seeds up front so the assignment does not depend
-	// on scheduling.
-	root := xrand.New(opts.Seed ^ uint64(index+1)*0x9e3779b97f4a7c15)
-	seeds := make([]uint64, shards)
-	for i := range seeds {
-		seeds[i] = root.Uint64() | 1
-	}
 	parts := make([]closedLoopPartial, shards)
-	runShards(opts.Cycles, shards, func(w, cycles int) {
-		start := time.Now()
-		slo := lo
-		slo.Rate = rate
-		slo.Seed = seeds[w]
-		parts[w] = runClosedLoopShard(build, inputs, outputs, slo, opts.Warmup, cycles, nil, nil, nil)
-		if opts.OnStage != nil {
-			opts.OnStage("shard", w, cycles, start, time.Since(start))
-		}
-	})
-
-	mergeStart := time.Now()
 	res := ClosedLoopResult{Rate: rate, Shards: shards}
-	for w := range parts {
-		p := &parts[w]
-		if p.err != nil {
-			return ClosedLoopResult{}, p.err
-		}
-		if p.cycles == 0 && p.hist == nil {
-			continue
-		}
-		res.Cycles += p.cycles
-		ledgerAdd(&res.Ledger, p.led)
-		res.SLAAttainment += p.sla // credit sum; normalized below
-		if res.Histogram == nil {
-			res.Histogram = p.hist
-		} else if err := res.Histogram.Merge(p.hist); err != nil {
-			return ClosedLoopResult{}, err
-		}
-	}
-	res.fill(inputs)
-	if opts.OnStage != nil {
-		opts.OnStage("merge", -1, 0, mergeStart, time.Since(mergeStart))
-	}
-	if opts.Probe != nil || opts.Anatomy != nil {
-		// Dedicated sequential observation pass under seeds[0] (the
-		// first root draw, shard-count independent) at the full cycle
-		// budget: the trace set and the anatomy report are pure
-		// functions of Options, and the measured merge above stays
-		// bit-identical to an unobserved sweep.
-		obsStart := time.Now()
+	err := runPoint(opts, index, shards, func(w int, r shardRun) {
 		slo := lo
 		slo.Rate = rate
-		slo.Seed = seeds[0]
-		obs := runClosedLoopShard(build, inputs, outputs, slo, opts.Warmup, opts.Cycles, opts.Probe, opts.Anatomy, opts.OnAnatomy)
-		if obs.err != nil {
-			return ClosedLoopResult{}, obs.err
+		slo.Seed = r.seed
+		parts[w] = runClosedLoopShard(build, inputs, outputs, slo, r)
+	}, func() error {
+		for w := range parts {
+			p := &parts[w]
+			if p.err != nil {
+				return p.err
+			}
+			if p.cycles == 0 && p.hist == nil {
+				continue
+			}
+			res.Cycles += p.cycles
+			ledgerAdd(&res.Ledger, p.led)
+			res.SLAAttainment += p.sla // credit sum; normalized below
+			if res.Histogram == nil {
+				res.Histogram = p.hist
+			} else if err := res.Histogram.Merge(p.hist); err != nil {
+				return err
+			}
 		}
-		res.Observed = obs.rep
-		if opts.OnStage != nil {
-			opts.OnStage("observe", -1, opts.Cycles, obsStart, time.Since(obsStart))
-		}
+		res.fill(inputs)
+		res.Observed = parts[0].rep
+		return nil
+	})
+	if err != nil {
+		return ClosedLoopResult{}, err
 	}
 	return res, nil
 }

@@ -59,10 +59,10 @@ type LatencyResult struct {
 	Histogram *stats.Histogram
 
 	// Observed carries the flight-recorder report when Options.Probe
-	// was set. Sharded sweeps fill it from a dedicated sequential
-	// observation pass (deterministic for a given Options regardless of
-	// shard count); the probed pass never feeds the measured counters
-	// above.
+	// was set. Sharded sweeps fill it from shard 0, which runs the full
+	// cycle budget with the probe attached and feeds the counters above
+	// only its own share; the report covers the whole window and is
+	// deterministic for a given Options regardless of shard count.
 	Observed *probe.Report
 }
 
@@ -117,13 +117,42 @@ type packetEngine interface {
 	SetAnatomy(*anatomy.Collector)
 }
 
+// shardRun is one run of a sweep point's shard as runPoint hands it to
+// the measuring code: the traffic seed, the run's options (warmup,
+// cycle budget, observers), the number of measured cycles the merge
+// takes from it, and the two handles runPoint keeps on it.
+type shardRun struct {
+	seed uint64
+	opts Options
+	// share is how many cycles of the window the measured partial
+	// covers: opts.Cycles for a plain run, shard 0's share of the point
+	// budget when shard 0 is also the observation run.
+	share int
+	// building is held while the run constructs its engines.
+	building sync.Locker
+	// atShare, when set, is called the moment the measured partial is
+	// taken.
+	atShare func()
+}
+
+// singleRun is the shardRun of a one-shot measurement: the whole budget
+// measured, nothing to coordinate with.
+func singleRun(opts Options) shardRun {
+	return shardRun{opts: opts, share: opts.Cycles, building: new(sync.Mutex)}
+}
+
 // measurePacketEngine drives pattern through net for opts.Warmup +
-// opts.Cycles cycles and fills res's counters, histogram and quantiles.
+// opts.Cycles cycles and fills res's counters, histogram and quantiles
+// over the first r.share measured cycles, calling r.atShare the moment
+// they are taken; the attached observers keep running to the end of
+// opts.Cycles, so shard 0 of an observed sweep point yields both its
+// measured partial and the point's observation from one run.
 // Latencies retired during warmup are discarded; packets injected
 // during warmup but retired inside the window do count, and the
 // window's still-queued survivors not at all — the standard open-loop
 // truncation.
-func measurePacketEngine(net packetEngine, inputs, outputs int, pattern traffic.Pattern, opts Options, res *LatencyResult) error {
+func measurePacketEngine(net packetEngine, inputs, outputs int, pattern traffic.Pattern, r shardRun, res *LatencyResult) error {
+	opts, share := r.opts, r.share
 	dest := make([]int, inputs)
 	gen, inPlace := pattern.(traffic.IntoGenerator)
 	var queuedSum int64
@@ -139,6 +168,7 @@ func measurePacketEngine(net packetEngine, inputs, outputs int, pattern traffic.
 		an = anatomy.New(*opts.Anatomy)
 		net.SetAnatomy(an)
 	}
+	split := opts.Warmup + share
 	for cycle := 0; cycle < opts.Warmup+opts.Cycles; cycle++ {
 		if cycle == opts.Warmup {
 			net.ResetLatency()
@@ -157,18 +187,24 @@ func measurePacketEngine(net packetEngine, inputs, outputs int, pattern traffic.
 		if _, err := net.Cycle(dest); err != nil {
 			return err
 		}
-		if cycle >= opts.Warmup {
+		if cycle >= opts.Warmup && cycle < split {
 			queuedSum += net.Queued()
 		}
+		if cycle+1 == split {
+			after := net.Totals()
+			res.Cycles = share
+			res.Injected = after.Injected - before.Injected
+			res.Refused = after.Refused - before.Refused
+			res.Delivered = after.Delivered - before.Delivered
+			res.Dropped = after.Dropped - before.Dropped
+			res.AvgQueued = float64(queuedSum) / float64(share)
+			res.Histogram = net.Latency().Clone()
+			res.fillQuantiles(inputs)
+			if r.atShare != nil {
+				r.atShare()
+			}
+		}
 	}
-	after := net.Totals()
-	res.Injected = after.Injected - before.Injected
-	res.Refused = after.Refused - before.Refused
-	res.Delivered = after.Delivered - before.Delivered
-	res.Dropped = after.Dropped - before.Dropped
-	res.AvgQueued = float64(queuedSum) / float64(opts.Cycles)
-	res.Histogram = net.Latency().Clone()
-	res.fillQuantiles(inputs)
 	if pr != nil {
 		res.Observed = pr.Report()
 	}
@@ -185,11 +221,17 @@ func measurePacketEngine(net packetEngine, inputs, outputs int, pattern traffic.
 // the injection vector in place and the queueing engine reuses all ring
 // and histogram storage.
 func MeasureLatency(cfg topology.Config, pattern traffic.Pattern, qopts queuesim.Options, opts Options) (LatencyResult, error) {
-	opts = opts.withDefaults()
+	return measureLatency(cfg, pattern, qopts, singleRun(opts.withDefaults()))
+}
+
+// measureLatency is MeasureLatency for one shardRun.
+func measureLatency(cfg topology.Config, pattern traffic.Pattern, qopts queuesim.Options, r shardRun) (LatencyResult, error) {
 	if qopts.Factory == nil {
-		qopts.Factory = opts.Factory
+		qopts.Factory = r.opts.Factory
 	}
+	r.building.Lock()
 	net, err := queuesim.New(cfg, qopts)
+	r.building.Unlock()
 	if err != nil {
 		return LatencyResult{}, err
 	}
@@ -198,10 +240,9 @@ func MeasureLatency(cfg topology.Config, pattern traffic.Pattern, qopts queuesim
 		Pattern: pattern.Name(),
 		Depth:   net.Depth(),
 		Policy:  net.Policy(),
-		Cycles:  opts.Cycles,
 		Shards:  1,
 	}
-	if err := measurePacketEngine(net, cfg.Inputs(), cfg.Outputs(), pattern, opts, &res); err != nil {
+	if err := measurePacketEngine(net, cfg.Inputs(), cfg.Outputs(), pattern, r, &res); err != nil {
 		return LatencyResult{}, err
 	}
 	return res, nil
@@ -216,11 +257,17 @@ func MeasureLatency(cfg topology.Config, pattern traffic.Pattern, qopts queuesim
 // destination), which is what "same replayed traffic" means across two
 // networks with different output counts.
 func MeasureDilatedLatency(dcfg dilated.Config, pattern traffic.Pattern, dopts dilatedsim.Options, opts Options) (LatencyResult, error) {
-	opts = opts.withDefaults()
+	return measureDilatedLatency(dcfg, pattern, dopts, singleRun(opts.withDefaults()))
+}
+
+// measureDilatedLatency is measureLatency for the dilated engine.
+func measureDilatedLatency(dcfg dilated.Config, pattern traffic.Pattern, dopts dilatedsim.Options, r shardRun) (LatencyResult, error) {
 	if dopts.Factory == nil {
-		dopts.Factory = opts.Factory
+		dopts.Factory = r.opts.Factory
 	}
+	r.building.Lock()
 	net, err := dilatedsim.New(dcfg, dopts)
+	r.building.Unlock()
 	if err != nil {
 		return LatencyResult{}, err
 	}
@@ -229,10 +276,9 @@ func MeasureDilatedLatency(dcfg dilated.Config, pattern traffic.Pattern, dopts d
 		Pattern: pattern.Name(),
 		Depth:   net.Depth(),
 		Policy:  net.Policy(),
-		Cycles:  opts.Cycles,
 		Shards:  1,
 	}
-	if err := measurePacketEngine(net, dcfg.Ports(), dcfg.Ports(), pattern, opts, &res); err != nil {
+	if err := measurePacketEngine(net, dcfg.Ports(), dcfg.Ports(), pattern, r, &res); err != nil {
 		return LatencyResult{}, err
 	}
 	return res, nil
@@ -289,19 +335,15 @@ func SaturationSweep(cfg topology.Config, loads []float64, src LoadPattern, qopt
 	if src == nil {
 		src = UniformLoad
 	}
-	return sweepLoads(cfg.Inputs(), loads, opts, shards, saturationMeasure(cfg, src, qopts, opts))
+	return sweepLoads(cfg.Inputs(), loads, opts, shards, saturationMeasure(cfg, src, qopts))
 }
 
 // saturationMeasure builds the one-shard measurement closure of an EDN
 // saturation sweep; SaturationSweep and SaturationPoint share it so a
 // streamed point is the batch sweep's point by construction.
-func saturationMeasure(cfg topology.Config, src LoadPattern, qopts queuesim.Options, opts Options) pointMeasure {
-	return func(load float64, seed uint64, cycles int, po *probe.Options, ao *anatomy.Options) (LatencyResult, error) {
-		sub := opts
-		sub.Cycles = cycles
-		sub.Probe = po
-		sub.Anatomy = ao
-		return MeasureLatency(cfg, src(load, xrand.New(seed)), qopts, sub)
+func saturationMeasure(cfg topology.Config, src LoadPattern, qopts queuesim.Options) pointMeasure {
+	return func(load float64, r shardRun) (LatencyResult, error) {
+		return measureLatency(cfg, src(load, xrand.New(r.seed)), qopts, r)
 	}
 }
 
@@ -316,17 +358,13 @@ func DilatedSaturationSweep(dcfg dilated.Config, loads []float64, src LoadPatter
 	if src == nil {
 		src = UniformLoad
 	}
-	return sweepLoads(dcfg.Ports(), loads, opts, shards, dilatedSaturationMeasure(dcfg, src, dopts, opts))
+	return sweepLoads(dcfg.Ports(), loads, opts, shards, dilatedSaturationMeasure(dcfg, src, dopts))
 }
 
 // dilatedSaturationMeasure is saturationMeasure for the dilated engine.
-func dilatedSaturationMeasure(dcfg dilated.Config, src LoadPattern, dopts dilatedsim.Options, opts Options) pointMeasure {
-	return func(load float64, seed uint64, cycles int, po *probe.Options, ao *anatomy.Options) (LatencyResult, error) {
-		sub := opts
-		sub.Cycles = cycles
-		sub.Probe = po
-		sub.Anatomy = ao
-		return MeasureDilatedLatency(dcfg, src(load, xrand.New(seed)), dopts, sub)
+func dilatedSaturationMeasure(dcfg dilated.Config, src LoadPattern, dopts dilatedsim.Options) pointMeasure {
+	return func(load float64, r shardRun) (LatencyResult, error) {
+		return measureDilatedLatency(dcfg, src(load, xrand.New(r.seed)), dopts, r)
 	}
 }
 
@@ -358,19 +396,97 @@ func runShards(totalCycles, shards int, fn func(w, cycles int)) {
 	wg.Wait()
 }
 
+// runPoint measures one point of a sharded sweep — point `index` on the
+// sweep's axis — and is the one place the shard fan-out, the
+// observation and the stage timings live for both the load and the
+// closed-loop sweeps. Shard seeds derive from (opts.Seed, index) up
+// front, so the assignment does not depend on scheduling, and shard w
+// runs measure(w, r): warmup plus r.share cycles, bare, calling
+// r.atShare the moment its measured partial is taken. After every
+// shard returns, merge folds the partials.
+//
+// When opts.Probe or opts.Anatomy is set, shard 0 is also the
+// observation run: its run options carry the observers and the full
+// cycle budget, and it takes its measured partial at its share boundary
+// and keeps running to the end. Observation never perturbs, so that
+// partial is bit-identical to a bare shard 0's and the merge cannot
+// tell the difference; and because seeds[0] is the first root draw,
+// which does not depend on the shard count, the observation is a pure
+// function of Options however the measured budget was split. The
+// anatomy report reaches opts.OnAnatomy on the calling goroutine after
+// the merge, and the "observe" stage times the observed cycles beyond
+// shard 0's share.
+//
+// Shards construct their engines one at a time (r.building), then run
+// concurrently. Construction is the point's one allocation burst. When
+// every shard allocates at once, the collector's mark phase finds no
+// idle CPU, counts the whole burst as live, and sets the next heap
+// goal at twice that. Serializing those few milliseconds keeps the
+// peak heap near twice the point's live set (EXPERIMENTS.md has the
+// measurement).
+func runPoint(opts Options, index, shards int, measure func(w int, r shardRun), merge func() error) error {
+	root := xrand.New(opts.Seed ^ uint64(index+1)*0x9e3779b97f4a7c15)
+	seeds := make([]uint64, shards)
+	for i := range seeds {
+		seeds[i] = root.Uint64() | 1
+	}
+	observed := opts.Probe != nil || opts.Anatomy != nil
+	var building sync.Mutex
+	var anat *anatomy.Report
+	var share0 int
+	var split, end time.Time // shard 0's share boundary and finish
+	runShards(opts.Cycles, shards, func(w, share int) {
+		start := time.Now()
+		run := opts
+		run.Cycles, run.Probe, run.Anatomy, run.OnAnatomy = share, nil, nil, nil
+		if w == 0 && observed {
+			run = opts
+			run.OnAnatomy = func(r *anatomy.Report) { anat = r }
+		}
+		measure(w, shardRun{seed: seeds[w], opts: run, share: share, building: &building, atShare: func() {
+			now := time.Now()
+			if w == 0 {
+				share0, split = share, now
+			}
+			if opts.OnStage != nil {
+				opts.OnStage("shard", w, share, start, now.Sub(start))
+			}
+		}})
+		if w == 0 {
+			end = time.Now()
+		}
+	})
+
+	mergeStart := time.Now()
+	if err := merge(); err != nil {
+		return err
+	}
+	if opts.OnStage != nil {
+		opts.OnStage("merge", -1, 0, mergeStart, time.Since(mergeStart))
+	}
+	if observed {
+		if anat != nil && opts.OnAnatomy != nil {
+			opts.OnAnatomy(anat)
+		}
+		if opts.OnStage != nil {
+			opts.OnStage("observe", -1, opts.Cycles-share0, split, end.Sub(split))
+		}
+	}
+	return nil
+}
+
 // sweepLoads runs one measurement per load point, splitting each
 // point's cycle budget across parallel shards (seed derived per (load
 // index, shard), independent of scheduling) and merging counters and
 // histograms exactly. It is the engine-agnostic core of the saturation
 // sweeps; measure runs one shard.
 //
-// When opts.Probe is set, every shard still runs unprobed — the merged
-// counters and histograms are bit-identical either way — and each load
-// point's Observed report comes from one extra sequential observation
-// pass at the full cycle budget under seeds[0]. The first root draw
-// does not depend on the shard count, so the sampled trace set is a
-// pure function of Options, regardless of how the measured budget was
-// sharded.
+// When opts.Probe or opts.Anatomy is set, shard 0 of each point doubles
+// as its observation run (see runPoint): it runs the full cycle budget
+// under seeds[0] with the observers attached, contributes its measured
+// partial from its share boundary, and fills Observed. The merged
+// counters and histograms are bit-identical to an unobserved sweep, and
+// the observation is the same for every shard count.
 func sweepLoads(inputs int, loads []float64, opts Options, shards int, measure pointMeasure) ([]LatencyResult, error) {
 	shards, err := normalizeShards(shards, opts.Cycles)
 	if err != nil {
@@ -387,10 +503,12 @@ func sweepLoads(inputs int, loads []float64, opts Options, shards int, measure p
 	return results, nil
 }
 
-// pointMeasure runs one shard of one sweep point: the given load at the
-// given traffic seed for the given cycle share (probed when po is set,
-// anatomy-attributed when ao is set — shard runs pass nil for both).
-type pointMeasure func(load float64, seed uint64, cycles int, po *probe.Options, ao *anatomy.Options) (LatencyResult, error)
+// pointMeasure runs one shard of one sweep point: the given load over
+// the shardRun r handed out by runPoint (see measurePacketEngine). Bare
+// shards get r.opts.Cycles == r.share and no observers; shard 0 of an
+// observed point gets the full budget with the observers set, so they
+// run on past the partial.
+type pointMeasure func(load float64, r shardRun) (LatencyResult, error)
 
 // sweepLoadPoint measures one point of a load sweep — point `index` on
 // the sweep's axis — splitting the cycle budget across shards with
@@ -398,77 +516,53 @@ type pointMeasure func(load float64, seed uint64, cycles int, po *probe.Options,
 // always have, and merging exactly. Callers must have normalized
 // shards and applied opts.withDefaults.
 func sweepLoadPoint(inputs int, load float64, index int, opts Options, shards int, measure pointMeasure) (LatencyResult, error) {
-	// Derive shard seeds up front so the assignment does not depend
-	// on scheduling.
-	root := xrand.New(opts.Seed ^ uint64(index+1)*0x9e3779b97f4a7c15)
-	seeds := make([]uint64, shards)
-	for i := range seeds {
-		seeds[i] = root.Uint64() | 1
-	}
 	type partial struct {
 		res LatencyResult
 		err error
 	}
 	parts := make([]partial, shards)
-	runShards(opts.Cycles, shards, func(w, cycles int) {
-		start := time.Now()
-		parts[w].res, parts[w].err = measure(load, seeds[w], cycles, nil, nil)
-		if opts.OnStage != nil {
-			opts.OnStage("shard", w, cycles, start, time.Since(start))
-		}
-	})
-
-	mergeStart := time.Now()
 	var merged LatencyResult
-	var queuedWeighted float64
-	first := true
-	for w := range parts {
-		p := &parts[w]
-		if p.err != nil {
-			return LatencyResult{}, p.err
+	err := runPoint(opts, index, shards, func(w int, r shardRun) {
+		parts[w].res, parts[w].err = measure(load, r)
+	}, func() error {
+		var queuedWeighted float64
+		first := true
+		for w := range parts {
+			p := &parts[w]
+			if p.err != nil {
+				return p.err
+			}
+			if p.res.Cycles == 0 && p.res.Histogram == nil {
+				continue
+			}
+			if first {
+				// Shard 0 comes first, carrying the point's Observed
+				// report when it was the observation run.
+				merged = p.res
+				merged.Histogram = p.res.Histogram.Clone()
+				queuedWeighted = p.res.AvgQueued * float64(p.res.Cycles)
+				first = false
+				continue
+			}
+			merged.Cycles += p.res.Cycles
+			merged.Shards++
+			merged.Injected += p.res.Injected
+			merged.Refused += p.res.Refused
+			merged.Delivered += p.res.Delivered
+			merged.Dropped += p.res.Dropped
+			queuedWeighted += p.res.AvgQueued * float64(p.res.Cycles)
+			if err := merged.Histogram.Merge(p.res.Histogram); err != nil {
+				return err
+			}
 		}
-		if p.res.Cycles == 0 && p.res.Histogram == nil {
-			continue
+		if merged.Cycles > 0 {
+			merged.AvgQueued = queuedWeighted / float64(merged.Cycles)
 		}
-		if first {
-			merged = p.res
-			merged.Histogram = p.res.Histogram.Clone()
-			queuedWeighted = p.res.AvgQueued * float64(p.res.Cycles)
-			first = false
-			continue
-		}
-		merged.Cycles += p.res.Cycles
-		merged.Shards++
-		merged.Injected += p.res.Injected
-		merged.Refused += p.res.Refused
-		merged.Delivered += p.res.Delivered
-		merged.Dropped += p.res.Dropped
-		queuedWeighted += p.res.AvgQueued * float64(p.res.Cycles)
-		if err := merged.Histogram.Merge(p.res.Histogram); err != nil {
-			return LatencyResult{}, err
-		}
-	}
-	if merged.Cycles > 0 {
-		merged.AvgQueued = queuedWeighted / float64(merged.Cycles)
-	}
-	merged.fillQuantiles(inputs)
-	if opts.OnStage != nil {
-		opts.OnStage("merge", -1, 0, mergeStart, time.Since(mergeStart))
-	}
-	if opts.Probe != nil || opts.Anatomy != nil {
-		// The observation pass also carries the anatomy collector: same
-		// seeds[0] sequential run, so the attribution report is a pure
-		// function of Options regardless of shard count, and the merged
-		// measured numbers above never see the collector at all.
-		obsStart := time.Now()
-		obs, err := measure(load, seeds[0], opts.Cycles, opts.Probe, opts.Anatomy)
-		if err != nil {
-			return LatencyResult{}, err
-		}
-		merged.Observed = obs.Observed
-		if opts.OnStage != nil {
-			opts.OnStage("observe", -1, opts.Cycles, obsStart, time.Since(obsStart))
-		}
+		merged.fillQuantiles(inputs)
+		return nil
+	})
+	if err != nil {
+		return LatencyResult{}, err
 	}
 	return merged, nil
 }

@@ -35,11 +35,13 @@ func sameTraces(t *testing.T, a, b *probe.Report) {
 }
 
 // TestObservedSweepShardInvariant pins the shard-merge determinism
-// contract: because rate sweeps collect their report from a dedicated
-// sequential observation pass (seeded by the first root draw, which
+// contract: because rate sweeps collect their report from shard 0's
+// full-budget observation run (seeded by the first root draw, which
 // does not depend on the shard split), the same Options produce the
 // identical trace set whether the measured sweep ran on 1 shard or 3 —
-// and the measured results stay bit-identical to an unprobed sweep.
+// and the measured results stay bit-identical to an unprobed sweep
+// (TestObservedSplitShardInvariant checks that at every split shard
+// count).
 func TestObservedSweepShardInvariant(t *testing.T) {
 	cfg, err := topology.New(16, 4, 4, 2)
 	if err != nil {
@@ -71,7 +73,7 @@ func TestObservedSweepShardInvariant(t *testing.T) {
 }
 
 // TestObservedDilatedSweepShardInvariant pins the same contract for the
-// dilated engine: its sweeps route through the same observation-pass
+// dilated engine: its sweeps route through the same shard-0 observation
 // machinery, so traces and heat must not depend on the shard split, and
 // a probed sweep must not move the measured numbers.
 func TestObservedDilatedSweepShardInvariant(t *testing.T) {

@@ -46,7 +46,7 @@ func SaturationPoint(cfg topology.Config, load float64, index int, src LoadPatte
 	if err != nil {
 		return LatencyResult{}, err
 	}
-	return sweepLoadPoint(cfg.Inputs(), load, index, opts, shards, saturationMeasure(cfg, src, qopts, opts))
+	return sweepLoadPoint(cfg.Inputs(), load, index, opts, shards, saturationMeasure(cfg, src, qopts))
 }
 
 // DilatedSaturationPoint is SaturationPoint over the dilated engine,
@@ -60,7 +60,7 @@ func DilatedSaturationPoint(dcfg dilated.Config, load float64, index int, src Lo
 	if err != nil {
 		return LatencyResult{}, err
 	}
-	return sweepLoadPoint(dcfg.Ports(), load, index, opts, shards, dilatedSaturationMeasure(dcfg, src, dopts, opts))
+	return sweepLoadPoint(dcfg.Ports(), load, index, opts, shards, dilatedSaturationMeasure(dcfg, src, dopts))
 }
 
 // ClosedLoopPoint measures one demand-rate point of a closed-loop

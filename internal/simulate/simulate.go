@@ -28,20 +28,21 @@ type Options struct {
 	// Probe, when non-nil, attaches a flight-recorder probe to the
 	// measurement and fills the result's Observed report: sampled packet
 	// traces plus per-stage heat series over the measurement window.
-	// Sharded sweeps keep their shard runs unprobed and gather the
-	// report from a dedicated deterministic observation pass (see
-	// sweepLoads) or from per-shard heat probes (lifetime sweeps), so
-	// the measured results are bit-identical with and without a probe.
+	// Rate sweeps probe shard 0 only, which then runs the full cycle
+	// budget and contributes its measured partial from its share
+	// boundary (see runPoint); lifetime sweeps pool per-shard heat
+	// probes. Either way the measured results are bit-identical with and
+	// without a probe.
 	Probe *probe.Options
 
 	// Anatomy, when non-nil, attaches a latency-anatomy collector to the
 	// measurement: per-stage wait/block/service attribution, switch
 	// blame, congestion trees and flow breakdowns (plus the five-way
 	// request split for closed loops), delivered through OnAnatomy.
-	// Like Probe, sharded sweeps keep their shard runs bare and collect
-	// the anatomy on the dedicated sequential observation pass under
-	// seeds[0], so the measured results are bit-identical with and
-	// without it and the report is invariant to the shard count.
+	// Like Probe, sharded sweeps attach the collector to shard 0's
+	// full-budget run under seeds[0] only, so the measured results are
+	// bit-identical with and without it and the report is invariant to
+	// the shard count.
 	Anatomy *anatomy.Options
 
 	// OnAnatomy receives each measured point's anatomy report when
@@ -51,9 +52,11 @@ type Options struct {
 
 	// OnStage, when non-nil, observes the coarse execution stages of a
 	// sharded measurement as they complete: one "shard" event per shard
-	// run (shard index, cycle share), one "merge" for the exact-merge
-	// step, one "observe" for the dedicated probe pass when Probe is
-	// set. Shard events fire concurrently from shard goroutines.
+	// run (shard index, cycle share; shard 0's ends at its share
+	// boundary), one "merge" for the exact-merge step, and, when Probe
+	// or Anatomy is set, one "observe" timing the observed cycles shard
+	// 0 runs beyond its share. Shard events fire concurrently from
+	// shard goroutines.
 	// Observation-only, like Probe: set or nil, the measured results
 	// are bit-identical — the serve layer feeds it into a job's span
 	// tree.

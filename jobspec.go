@@ -79,14 +79,33 @@ type TrafficSpec struct {
 	// (values below 1 behave as 1, as in BurstyLoad).
 	MeanBurst float64 `json:"mean_burst,omitempty"`
 	// HotFraction is the hotspot kinds' fraction of requests aimed at
-	// the hot output.
+	// the hot output, in [0, 1].
 	HotFraction float64 `json:"hot_fraction,omitempty"`
-	// Hot is the moving-hotspot kind's initial hot output; Period is its
-	// dwell time in cycles before the hot output advances by Stride
-	// (Period < 1 behaves as 1, Stride 0 as 1, as in MovingHotSpot).
+	// Hot is the hotspot kinds' (initial) hot output, in [0, outputs)
+	// of every network the job drives. Period is the moving-hotspot
+	// kind's dwell time in cycles before the hot output advances by
+	// Stride (Period < 1 behaves as 1, Stride 0 as 1, as in
+	// MovingHotSpot).
 	Hot    int `json:"hot,omitempty"`
 	Period int `json:"period,omitempty"`
 	Stride int `json:"stride,omitempty"`
+}
+
+// validate range-checks the hotspot fields against the output count of
+// the networks the job drives. The traffic sources would otherwise
+// reduce Hot modulo the output count, so an out-of-range Hot would run
+// silently on some other output (or a negative one).
+func (t *TrafficSpec) validate(outputs int) error {
+	if t == nil {
+		return nil
+	}
+	if t.Hot < 0 || t.Hot >= outputs {
+		return fmt.Errorf("edn: traffic hot %d out of [0,%d)", t.Hot, outputs)
+	}
+	if t.HotFraction < 0 || t.HotFraction > 1 {
+		return fmt.Errorf("edn: traffic hot_fraction %g out of [0,1]", t.HotFraction)
+	}
+	return nil
 }
 
 func (t *TrafficSpec) pattern() (LoadPattern, error) {
@@ -407,8 +426,8 @@ func (p *ProbeSpec) compile() *ProbeOptions {
 // saturation, estimate and closedloop modes over the edn or dilated
 // engine. Observation-only: the measured results are byte-identical
 // with and without an explain section, and the report is invariant to
-// the shard count (it comes from the dedicated sequential observation
-// pass). The report is delivered through RunOptions.OnExplain — it
+// the shard count (it comes from shard 0's full-budget observation
+// run). The report is delivered through RunOptions.OnExplain — it
 // rides beside the JobResult, never inside it.
 type ExplainSpec struct {
 	// TopK bounds the reported switch-blame and congestion-tree lists
@@ -578,6 +597,18 @@ func compileJob(s JobSpec) (*compiledJob, error) {
 		}
 	}
 
+	// Every network the job drives draws destinations in its own
+	// output space; the hot output must exist in each.
+	outputs := j.dcfg.Ports()
+	if needEDN {
+		outputs = j.cfg.Outputs()
+		if j.engine == EnginePair {
+			outputs = min(outputs, j.dcfg.Ports())
+		}
+	}
+	if err := s.Traffic.validate(outputs); err != nil {
+		return nil, err
+	}
 	var err error
 	if j.src, err = s.Traffic.pattern(); err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -451,6 +452,64 @@ func TestJobSpecValidation(t *testing.T) {
 				t.Fatalf("spec validated but should not have: %+v", spec)
 			}
 		})
+	}
+}
+
+// TestTrafficHotRange pins the hotspot range checks: the traffic
+// sources reduce Hot modulo the output count, so Validate must reject a
+// hot output that does not exist (and a hot fraction that is not a
+// probability) with an error naming the field, on every engine's own
+// output space.
+func TestTrafficHotRange(t *testing.T) {
+	geo := &GeometrySpec{A: 64, B: 16, C: 4, L: 2}
+	cfg, err := geo.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dcfg, err := DilatedCounterpart(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := func(engine string, tr TrafficSpec) JobSpec {
+		s := JobSpec{Mode: JobLatency, Engine: engine, Geometry: geo, Load: 0.5, Traffic: &tr}
+		if engine == EnginePair {
+			s.Mode, s.Rates, s.Loop = JobClosedLoop, []float64{0.3}, &ClosedLoopSpec{Window: 2}
+		}
+		return s
+	}
+	bad := []struct {
+		name  string
+		tr    TrafficSpec
+		field string
+	}{
+		{"hot-99999", TrafficSpec{Kind: "hotspot", Hot: 99999, HotFraction: 0.3}, "traffic hot "},
+		{"hot-negative", TrafficSpec{Kind: "moving-hotspot", Hot: -1, HotFraction: 0.3}, "traffic hot "},
+		{"hot-fraction-1.5", TrafficSpec{Kind: "hotspot", Hot: 3, HotFraction: 1.5}, "traffic hot_fraction"},
+		{"hot-fraction-negative", TrafficSpec{Kind: "hotspot", Hot: 3, HotFraction: -0.1}, "traffic hot_fraction"},
+	}
+	for _, engine := range []string{EngineEDN, EngineDilated, EnginePair} {
+		for _, c := range bad {
+			t.Run(engine+"/"+c.name, func(t *testing.T) {
+				err := spec(engine, c.tr).Validate()
+				if err == nil || !strings.Contains(err.Error(), c.field) {
+					t.Fatalf("Validate = %v, want an error naming %q", err, c.field)
+				}
+			})
+		}
+	}
+	// The boundaries are valid, each against its engine's output count.
+	for engine, outputs := range map[string]int{EngineEDN: cfg.Outputs(), EngineDilated: dcfg.Ports(), EnginePair: min(cfg.Outputs(), dcfg.Ports())} {
+		for _, tr := range []TrafficSpec{
+			{Kind: "hotspot", Hot: 0, HotFraction: 0},
+			{Kind: "moving-hotspot", Hot: outputs - 1, HotFraction: 1, Period: 10},
+		} {
+			if err := spec(engine, tr).Validate(); err != nil {
+				t.Errorf("%s: in-range traffic %+v rejected: %v", engine, tr, err)
+			}
+		}
+		if err := spec(engine, TrafficSpec{Kind: "hotspot", Hot: outputs}).Validate(); err == nil {
+			t.Errorf("%s: hot %d accepted on %d outputs", engine, outputs, outputs)
+		}
 	}
 }
 
