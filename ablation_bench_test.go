@@ -137,9 +137,10 @@ func BenchmarkAblationScheduler(b *testing.B) {
 }
 
 // BenchmarkMonteCarloParallelism compares serial versus worker-split
-// Monte-Carlo throughput on the MasPar network (the scaling lever the
-// core engine's stage-level parallelism cannot provide; see
-// internal/core/parallel.go).
+// Monte-Carlo throughput on the MasPar network: parallelism across
+// independent runs, the scaling lever a split of one cycle's switches
+// across goroutines could not provide (see
+// simulate.MeasureUniformPAParallel).
 func BenchmarkMonteCarloParallelism(b *testing.B) {
 	cfg, err := New(64, 16, 4, 2)
 	if err != nil {

@@ -50,11 +50,11 @@
 //     through UpdateFaults (in-place, allocation-free mask swaps) and
 //     LifetimeSweep records bandwidth/reachability/latency per epoch
 //     with lifetime aggregates. See cmd/edn-faults and cmd/edn-lifetime.
-//   - Measured dilated counterpart: DilatedQueueNetwork is a packet-level
-//     simulator for the d-dilated delta networks the introduction
-//     compares EDNs against, sharing the queueing engine's architecture
-//     (ring FIFOs, policies, in-place DilatedMasks swaps; at d=1 it is
-//     bit-for-bit the plain-delta QueueNetwork). MeasureDilatedLatency,
+//   - Measured dilated counterpart: DilatedQueueNetwork runs the
+//     d-dilated delta networks the introduction compares EDNs against
+//     on the same packet engine as QueueNetwork, with only the wiring
+//     changed (ring FIFOs, policies, in-place DilatedMasks swaps; at
+//     d=1 it is bit-for-bit the plain-delta QueueNetwork). MeasureDilatedLatency,
 //     DilatedSaturationSweep, DilatedAvailabilitySweep and
 //     DilatedLifetimeSweep pair with their EDN twins seed-for-seed, so
 //     edn-latency -dilated and edn-lifetime -dilated run both networks

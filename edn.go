@@ -589,11 +589,11 @@ func ExpectedDilatedDegraded(cfg DilatedDelta, f float64) (*DilatedDegraded, err
 // Measured dilated counterpart (packet-level dilated simulator)
 
 // DilatedQueueNetwork is an instantiated buffered d-dilated delta: the
-// packet-level engine behind the measured side of every -dilated
-// comparison. It shares queuesim's architecture — per-sub-wire ring
-// FIFOs, Drop/Backpressure, head-of-line arbitration, in-place fault
-// mask swaps — and at d=1 reproduces the plain-delta QueueNetwork bit
-// for bit. See internal/dilatedsim.
+// measured side of every -dilated comparison. It is the same packet
+// engine as QueueNetwork (per-wire ring FIFOs, Drop/Backpressure,
+// head-of-line arbitration, in-place fault mask swaps, the depth-0
+// wave) over the dilated delta's wiring, and at d=1 it reproduces the
+// plain-delta QueueNetwork bit for bit. See internal/dilatedsim.
 type DilatedQueueNetwork = dilatedsim.Network
 
 // DilatedQueueOptions configures a dilated queueing network (FIFO

@@ -54,9 +54,11 @@ import (
 const NoRequest = queuesim.NoRequest
 
 // Engine is the slice of the packet-engine surface the orchestrator
-// drives. Both queuesim.Network and dilatedsim.Network satisfy it; the
-// loop code is written once against this seam, exactly as the simulate
-// harnesses are written against their packetEngine seam.
+// drives. Both fabrics are wirings of one engine, queuesim.Engine, and
+// both queuesim.Network (EDN) and dilatedsim.Network (dilated delta)
+// satisfy this seam through it; the loop code is written once against
+// it, exactly as the simulate harnesses are written against their
+// packetEngine seam.
 type Engine interface {
 	Cycle(dest []int) (queuesim.CycleStats, error)
 	InputFree(i int) bool

@@ -116,12 +116,8 @@ func TestDilationOneMatchesQueuesim(t *testing.T) {
 // mode: a dead sub-wire (Boundary, Group, 0) of the 1-dilated delta is
 // the dead interstage wire (Boundary, Wire=Group) of EDN(b,b,1,l), so
 // the two engines must agree under matching fault sets, including an
-// in-place mask swap mid-run and the repair. The unbuffered corner is
-// compared with ParkedOnDead masked out: queuesim's depth-0 engine
-// deliberately declines to classify pinned paths beyond stage 1 for the
-// c=1 corner (see its cycleUnbuffered), while the dilated engine walks
-// the whole pinned path — strictly more complete, so it may only ever
-// report more parked packets, never fewer.
+// in-place mask swap mid-run and the repair — ParkedOnDead included,
+// at every depth.
 func TestDilationOneFaultedMatchesQueuesim(t *testing.T) {
 	b, l := 2, 3
 	dcfg := dilatedCfg(t, b, 1, l)
@@ -192,12 +188,6 @@ func TestDilationOneFaultedMatchesQueuesim(t *testing.T) {
 					qcs, err := qn.Cycle(dest)
 					if err != nil {
 						t.Fatal(err)
-					}
-					if depth == 0 && policy == Backpressure {
-						if dcs.ParkedOnDead < qcs.ParkedOnDead {
-							t.Fatalf("cycle %d: dilated parked %d < queuesim %d", c, dcs.ParkedOnDead, qcs.ParkedOnDead)
-						}
-						dcs.ParkedOnDead, qcs.ParkedOnDead = 0, 0
 					}
 					if dcs != qcs {
 						t.Fatalf("cycle %d: stats %+v vs queuesim %+v", c, dcs, qcs)
@@ -305,6 +295,48 @@ func TestUpdateFaultsMatchesConstruction(t *testing.T) {
 					}
 				}
 				histogramsEqual(t, swapped.Latency(), built.Latency())
+			})
+		}
+	}
+}
+
+// TestUpdateFaultsZeroAllocDilated pins the epoch hot path on the
+// dilated fabric: swapping precompiled masks and advancing allocates
+// nothing, for both policies, on the pipelined engine and on the
+// unbuffered wave.
+func TestUpdateFaultsZeroAllocDilated(t *testing.T) {
+	cfg := dilatedCfg(t, 4, 2, 2)
+	plan := NewPlan(cfg, xrand.New(3))
+	masks := []*Masks{MustCompile(cfg, plan.At(0.1)), MustCompile(cfg, plan.At(0.2)), nil}
+	for _, policy := range []Policy{Drop, Backpressure} {
+		for _, depth := range []int{0, 4} {
+			t.Run(fmt.Sprintf("depth%d/%v", depth, policy), func(t *testing.T) {
+				net, err := New(cfg, Options{Depth: depth, Policy: policy})
+				if err != nil {
+					t.Fatal(err)
+				}
+				gen := traffic.Uniform{Rate: 1, Rng: xrand.New(5)}
+				dest := make([]int, cfg.Ports())
+				for c := 0; c < 50; c++ { // reach ring steady state first
+					gen.GenerateInto(dest, cfg.Ports())
+					if _, err := net.Cycle(dest); err != nil {
+						t.Fatal(err)
+					}
+				}
+				i := 0
+				allocs := testing.AllocsPerRun(100, func() {
+					if err := net.UpdateFaults(masks[i%len(masks)]); err != nil {
+						t.Fatal(err)
+					}
+					gen.GenerateInto(dest, cfg.Ports())
+					if _, err := net.Cycle(dest); err != nil {
+						t.Fatal(err)
+					}
+					i++
+				})
+				if allocs != 0 {
+					t.Errorf("mask swap + cycle allocated %.1f times per epoch", allocs)
+				}
 			})
 		}
 	}

@@ -9,19 +9,18 @@ import (
 )
 
 // Tables is the prebuilt, immutable routing geometry of one dilated
-// delta: the group-level delta tables plus their sub-wire expansion —
+// delta: the group-level delta tables expanded to sub-wire labels —
 // the O(ports*d) arrays New spends its construction time on. One
 // Tables value can back any number of concurrently running networks;
-// nothing mutates it after construction. The dilated twin of
-// topology.Tables.
+// nothing mutates it after construction. It plays the role
+// topology.Tables plays for the EDN.
 type Tables struct {
 	dcfg   dilated.Config
-	gtab   [][]int32 // group-level delta tables; nil = identity
-	subTab [][]int32 // gtab expanded to sub-wire labels (shared when d == 1)
+	subTab [][]int32 // [interstage] sub-wire tables; nil = identity
 	bytes  int64
 }
 
-// NewTables validates dcfg and materializes both table levels.
+// NewTables validates dcfg and materializes the sub-wire tables.
 // Networks built from the same Tables value share the slices (no copy)
 // and are bit-for-bit identical to networks that built their own.
 func NewTables(dcfg dilated.Config) (*Tables, error) {
@@ -36,28 +35,19 @@ func NewTables(dcfg dilated.Config) (*Tables, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dilatedsim: %v has no delta skeleton: %w", dcfg, err)
 	}
-	t := &Tables{
-		dcfg:   dcfg,
-		gtab:   make([][]int32, dcfg.L),
-		subTab: make([][]int32, dcfg.L),
-	}
+	t := &Tables{dcfg: dcfg, subTab: make([][]int32, dcfg.L)}
 	for s := 1; s <= dcfg.L; s++ {
 		tab := delta.InterstageTable(s) // nil at s == l: groups feed ports
-		t.gtab[s-1] = tab
-		t.bytes += int64(len(tab)) * 4
-		switch {
-		case tab == nil:
-			// identity at both levels
-		case dcfg.D == 1:
-			t.subTab[s-1] = tab // sub-wire labels are group labels
-		default:
+		if tab != nil && dcfg.D > 1 {
+			// Sub-wire w of group g lands on sub-wire w of g's image.
 			sub := make([]int32, ports*dcfg.D)
 			for o := range sub {
 				sub[o] = tab[o/dcfg.D]*int32(dcfg.D) + int32(o%dcfg.D)
 			}
-			t.subTab[s-1] = sub
-			t.bytes += int64(len(sub)) * 4
+			tab = sub
 		}
+		t.subTab[s-1] = tab
+		t.bytes += int64(len(tab)) * 4
 	}
 	return t, nil
 }

@@ -1,8 +1,10 @@
 // Package netcache is the geometry cache behind the serve layer: a
 // byte-budgeted LRU keyed by strings, with typed helpers for the three
 // immutable artifacts every job construction pays for — EDN interstage
-// tables (topology.Tables), dilated routing tables (dilatedsim.Tables)
-// and compiled fault masks (faults.Masks / dilatedsim.Masks).
+// tables (topology.Tables), dilated sub-wire tables (dilatedsim.Tables)
+// and compiled fault masks (faults.Masks / dilatedsim.Masks). Both
+// kinds of table feed the same packet engine (queuesim.Engine), as the
+// interstage tables of its EDN or dilated wiring.
 //
 // All cached artifacts are immutable after construction and safe to
 // share across concurrently running engines:

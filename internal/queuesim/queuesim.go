@@ -1,5 +1,6 @@
 // Package queuesim is the buffered, packet-level counterpart of the
-// circuit-switched cycle engine in internal/core. Where core's
+// circuit-switched cycle engine in internal/core, and the one packet
+// engine behind both fabrics of the paper's comparison. Where core's
 // RouteCycle resolves a whole request batch in one memoryless network
 // cycle (losers vanish, matching the paper's Section 3.2 model), this
 // package gives every stage-input wire a FIFO: packets advance one
@@ -8,15 +9,16 @@
 // cannot — queueing delay, tail latency and saturation throughput under
 // temporally correlated load.
 //
-// The simulator is built from the same precomputed machinery as core:
-// the interstage gamma permutations are the flat int32 tables of
-// topology.InterstageTable, per-stage routing digits come from the same
-// shift/mask decomposition, and head-of-line arbitration per switch
-// uses the switchfab arbiter orders (the nil-factory default takes the
-// fused priority fast path). All FIFO storage is ring buffers sized at
-// construction, so the per-cycle advance is allocation-free in steady
-// state for bounded depths (BenchmarkQueueCycle pins this at 0
-// allocs/op).
+// The Engine runs a Wiring: per stage, the switch count and width, the
+// buckets per switch and wires per bucket, the routing digit's shift
+// and mask, and the flat int32 interstage table into the next stage.
+// New compiles an EDN (topology.Config, faults.Masks, topology.Tables)
+// into a wiring; internal/dilatedsim compiles the d-dilated delta into
+// another. Head-of-line arbitration per switch uses the switchfab
+// arbiter orders (the nil-factory default takes the fused priority
+// path). All FIFO storage is ring buffers sized at construction, so the
+// per-cycle advance is allocation-free in steady state for bounded
+// depths (BenchmarkQueueCycle pins this at 0 allocs/op).
 //
 // Depth semantics tie the family together:
 //
@@ -26,9 +28,8 @@
 //     FIFO head, under Drop they are discarded.
 //   - Depth == Unbounded: FIFOs grow without limit — the infinite
 //     buffering idealization.
-//   - Depth == 0: no interstage buffering at all. The network degenerates
-//     to the unbuffered single-cycle engine (each offered packet
-//     traverses every stage within one cycle via core.RouteCycleInto);
+//   - Depth == 0: no interstage buffering at all. Each offered packet
+//     sweeps every stage within one cycle, taking wires by core's rule;
 //     Backpressure then means a blocked packet is resubmitted from its
 //     input next cycle — exactly the Section 4/5.1 closed-loop regime —
 //     and Drop reproduces the memoryless Section 3.2 model packet for
@@ -38,21 +39,16 @@
 // batches march through the pipeline in lockstep, one stage per cycle,
 // without ever interacting, so its per-batch grant decisions — and
 // therefore its bandwidth and per-stage blocking — are bit-identical to
-// core's, just time-shifted by the pipeline fill. The equivalence test
-// pins this.
+// core's, just time-shifted by the pipeline fill. The equivalence tests
+// pin this at depth 1 and at depth 0.
 package queuesim
 
 import (
 	"fmt"
-	"math"
 
-	"edn/internal/anatomy"
 	"edn/internal/core"
 	"edn/internal/faults"
-	"edn/internal/probe"
 	"edn/internal/ringbuf"
-	"edn/internal/stats"
-	"edn/internal/switchfab"
 	"edn/internal/topology"
 )
 
@@ -167,7 +163,9 @@ type CycleStats struct {
 	// (Backpressure only; under Drop they are discarded and counted in
 	// Dropped or Stranded): head-of-line packets aimed at a dead output
 	// terminal or a bucket with no live wire left, plus packets queued
-	// on wires that died under them. It is an observation, not a flow —
+	// on wires that died under them. At depth 0 it counts the pending
+	// packets whose input is dead or whose switch path crosses a bucket
+	// with no live wire. It is an observation, not a flow —
 	// the same parked packet is counted again every cycle it stays
 	// parked — so conservation checks can assert on the parked
 	// population directly instead of inferring it from a residue.
@@ -176,1090 +174,69 @@ type CycleStats struct {
 	ParkedOnDead int
 }
 
-// Network is an instantiated queueing EDN. It is not safe for
-// concurrent use; the sweep harness builds one per shard.
+// Network is an instantiated queueing EDN: the Engine over the EDN's
+// wiring. It is not safe for concurrent use; the sweep harness builds
+// one per shard.
 type Network struct {
-	cfg    topology.Config
-	opts   Options
-	stages int
-	inputs int
-
-	// Pipelined state (Depth != 0). rings holds one FIFO per stage-input
-	// wire across all boundaries: boundary s-1 (rings[base[s-1]:]) feeds
-	// stage s; boundary 0 is the injection row.
-	rings    []ringbuf.Ring
-	base     []int     // base[i] = first ring of boundary i, i in [0, L]
-	gammaTab [][]int32 // [hyperbar stage-1]; nil = identity interstage
-	shift    []uint    // per hyperbar stage: right-shift to its digit
-	maskB    uint32
-	maskC    uint32
-
-	// Fault availability (nil = fully live), swapped between cycles by
-	// UpdateFaults; see Options.Faults. liveRows is the preallocated
-	// backing store live points into when a mask is active. deadRing
-	// (nil when every wire is live) marks rings whose feeding wire the
-	// current mask disables: their queued packets are stranded and their
-	// heads are skipped by arbitration. liveCap[s-1][sw*B+bucket] counts
-	// the bucket's live wires under the current mask, so the advance
-	// loop can tell "parked on a dead bucket" from "blocked by
-	// contention" without rescanning the row.
-	liveIn         []bool
-	live           [][]bool // [stage-1] stage-local output label availability
-	liveRows       [][]bool
-	deadRing       []bool
-	deadRingBuf    []bool
-	liveCap        [][]int32
-	strandedQueued int64 // packets parked in dead rings (Backpressure)
-
-	factory      core.ArbiterFactory
-	fastPriority bool
-	arbiters     [][]switchfab.Arbiter // [stage-1][switch], lazily built
-	used         []int32               // per-bucket wires consumed this cycle
-	digits       []int                 // arbiter-path digit gather
-	order        []int                 // arbiter-path arbitration order
-
-	// Unbuffered state (Depth == 0): one in-flight slot per input over a
-	// wrapped core.Network. s1cap mirrors the pipelined liveCap for
-	// stage 1 only — the one stage an unbuffered packet cannot route
-	// around, since its switch is fixed by the input and its bucket by
-	// the destination — so the parked-on-dead census can classify
-	// permanently pinned resubmissions; s1shift extracts the stage-1
-	// routing digit.
-	net     *core.Network
-	pending []int   // destination held by input i, or NoRequest
-	pendAt  []int64 // injection cycle of the pending packet
-	destBuf []int
-	outBuf  []core.Outcome
-	s1cap   []int32
-	s1shift uint
-
-	now       int64
-	queued    int64
-	totals    Totals
-	perStage  []int64 // drops per stage (Policy Drop)
-	lat       *stats.Histogram
-	idleBatch []int // all-NoRequest injection vector for Drain
-
-	// deliver, when set, observes every retirement (see SetDeliveryHook).
-	deliver func(dest int, inject int64)
-
-	// probe, when set, flight-records sampled packets and per-stage heat
-	// (see SetProbe). pendTrace holds the unbuffered corner's per-input
-	// trace record handles (-1 = untraced), mirroring pending.
-	probe     *probe.Probe
-	pendTrace []int32
-
-	// anat, when set, mirrors every FIFO and attributes each in-flight
-	// packet's cycles to wait/block/service (see SetAnatomy). The
-	// anatBlock* fields carry advancePacket's failure diagnosis out to
-	// the caller: the relative downstream ring that was full, or the
-	// contended crossbar terminal; anatTo carries the relative ring a
-	// successful hyperbar advance landed in.
-	anat          *anatomy.Collector
-	anatTo        int
-	anatBlockDown int
-	anatBlockTerm bool
+	*Engine
+	cfg  topology.Config
+	rows [][]bool // [stage-1] fault rows handed to SetLive
 }
 
 // New builds a queueing network over cfg. See Options for the depth and
 // policy semantics.
 func New(cfg topology.Config, opts Options) (*Network, error) {
-	if err := cfg.Validate(); err != nil {
+	tables := opts.Tables
+	if tables == nil {
+		var err error
+		if tables, err = topology.NewTables(cfg); err != nil {
+			return nil, err
+		}
+	} else if tables.Config() != cfg {
+		return nil, fmt.Errorf("queuesim: tables built for %v, network is %v", tables.Config(), cfg)
+	}
+	logB, logC := topology.Log2(cfg.B), topology.Log2(cfg.C)
+	w := Wiring{Name: cfg.String(), Stages: make([]Stage, cfg.Stages())}
+	for s := 1; s <= cfg.L; s++ {
+		w.Stages[s-1] = Stage{
+			Switches: cfg.SwitchesInStage(s), Width: cfg.A, Buckets: cfg.B, Wires: cfg.C,
+			Shift: uint(logC + (cfg.L-s)*logB), Mask: uint32(cfg.B - 1), Table: tables.Interstage(s),
+		}
+	}
+	w.Stages[cfg.L] = Stage{ // the c x c output crossbars
+		Switches: cfg.SwitchesInStage(cfg.L + 1), Width: cfg.C, Buckets: cfg.C, Wires: 1, Mask: uint32(cfg.C - 1),
+	}
+	e, err := NewEngine(w, opts)
+	if err != nil {
 		return nil, err
 	}
-	if opts.Depth < Unbounded {
-		return nil, fmt.Errorf("queuesim: depth %d invalid (want >= 1, 0, or Unbounded)", opts.Depth)
-	}
-	switch opts.Policy {
-	case Backpressure, Drop:
-	default:
-		return nil, fmt.Errorf("queuesim: unknown policy %d", int(opts.Policy))
-	}
-	if opts.Tables != nil && opts.Tables.Config() != cfg {
-		return nil, fmt.Errorf("queuesim: tables built for %v, network is %v", opts.Tables.Config(), cfg)
-	}
-	opts = opts.withDefaults()
-	n := &Network{
-		cfg:          cfg,
-		opts:         opts,
-		stages:       cfg.Stages(),
-		inputs:       cfg.Inputs(),
-		factory:      opts.Factory,
-		fastPriority: opts.Factory == nil,
-		perStage:     make([]int64, cfg.Stages()),
-		lat:          stats.NewHistogram(opts.LatencyBuckets, opts.LatencyBucketWidth),
-	}
-	if n.factory == nil {
-		n.factory = core.PriorityArbiters
-	}
-	n.liveRows = make([][]bool, n.stages)
-
-	if opts.Depth == 0 {
-		// The unbuffered corner delegates routing to the core engine
-		// (masks applied below via the shared swap path; dead-input
-		// refusal happens here at the source, so core's own input
-		// masking never fires).
-		var net *core.Network
-		var err error
-		if opts.Tables != nil {
-			net, err = core.NewNetworkFromTables(opts.Tables, opts.Factory, nil)
-		} else {
-			net, err = core.NewNetwork(cfg, opts.Factory)
-		}
-		if err != nil {
-			return nil, err
-		}
-		n.net = net
-		n.pending = make([]int, n.inputs)
-		for i := range n.pending {
-			n.pending[i] = NoRequest
-		}
-		n.pendAt = make([]int64, n.inputs)
-		n.destBuf = make([]int, n.inputs)
-		n.outBuf = make([]core.Outcome, n.inputs)
-		n.s1cap = make([]int32, cfg.SwitchesInStage(1)*cfg.B)
-		n.s1shift = uint(topology.Log2(cfg.C) + (cfg.L-1)*topology.Log2(cfg.B))
-		n.maskB = uint32(cfg.B - 1)
-		if err := n.UpdateFaults(opts.Faults); err != nil {
-			return nil, err
-		}
-		return n, nil
-	}
-
-	// Boundary wire counts; reuse core's int32 cap for the gamma tables.
-	total := 0
-	n.base = make([]int, cfg.L+1)
-	for i := 0; i <= cfg.L; i++ {
-		n.base[i] = total
-		w := cfg.WiresAfterStage(i)
-		if w > math.MaxInt32 {
-			return nil, fmt.Errorf("queuesim: %v has %d wires in one stage, beyond the simulable limit", cfg, w)
-		}
-		total += w
-	}
-	n.rings = make([]ringbuf.Ring, total)
-	if opts.Depth >= 1 {
-		// One flat backing array, power-of-two slots per ring, so the
-		// steady state never allocates and neighbors share cache lines.
-		slot := 1
-		for slot < opts.Depth {
-			slot <<= 1
-		}
-		backing := make([]uint64, total*slot)
-		for i := range n.rings {
-			n.rings[i].Buf = backing[i*slot : (i+1)*slot]
-		}
-	}
-	n.gammaTab = make([][]int32, cfg.L)
-	n.shift = make([]uint, cfg.L)
-	logB, logC := topology.Log2(cfg.B), topology.Log2(cfg.C)
-	for s := 1; s <= cfg.L; s++ {
-		if opts.Tables != nil {
-			n.gammaTab[s-1] = opts.Tables.Interstage(s)
-		} else {
-			n.gammaTab[s-1] = cfg.InterstageTable(s)
-		}
-		n.shift[s-1] = uint(logC + (cfg.L-s)*logB)
-	}
-	n.maskB = uint32(cfg.B - 1)
-	n.maskC = uint32(cfg.C - 1)
-	n.arbiters = make([][]switchfab.Arbiter, n.stages)
-	for s := 1; s <= n.stages; s++ {
-		n.arbiters[s-1] = make([]switchfab.Arbiter, cfg.SwitchesInStage(s))
-	}
-	width := cfg.A
-	if cfg.C > width {
-		width = cfg.C
-	}
-	buckets := cfg.B
-	if cfg.C > buckets {
-		buckets = cfg.C
-	}
-	n.used = make([]int32, buckets)
-	n.digits = make([]int, width)
-	n.order = make([]int, width)
-	n.deadRingBuf = make([]bool, total)
-	n.liveCap = make([][]int32, cfg.L)
-	for s := 1; s <= cfg.L; s++ {
-		n.liveCap[s-1] = make([]int32, cfg.SwitchesInStage(s)*cfg.B)
-	}
+	n := &Network{Engine: e, cfg: cfg, rows: make([][]bool, cfg.Stages())}
 	if err := n.UpdateFaults(opts.Faults); err != nil {
 		return nil, err
 	}
 	return n, nil
 }
 
-// UpdateFaults swaps the network's availability masks in place: packets
-// keep flowing through the same rings, tables and arbiter state while
-// the set of live components changes under them — the epoch primitive
-// of an availability-over-time simulation. A nil or empty mask restores
-// the unmasked fast paths bit-for-bit. The swap allocates nothing.
-//
-// Packets already queued on a wire the new mask disables are stranded
-// and handled by policy: under Drop they are discarded immediately and
-// counted in Totals.Stranded; under Backpressure they stay parked in
-// place — skipped by arbitration, reported each cycle via
-// CycleStats.ParkedOnDead — and resume unharmed if a later update
-// repairs the wire. Masks must have been compiled for this network's
-// configuration; on error the previous masks remain in effect. Not
-// safe to call concurrently with Cycle.
+// UpdateFaults swaps the network's availability masks in place (see
+// Engine.SetLive): the epoch primitive of an availability-over-time
+// simulation. A nil or empty mask restores the unmasked fast paths
+// bit-for-bit, and the swap allocates nothing. Masks must have been
+// compiled for this network's configuration; on error the previous
+// masks remain in effect. Not safe to call concurrently with Cycle.
 func (n *Network) UpdateFaults(m *faults.Masks) error {
 	if m.Empty() {
-		n.liveIn, n.live = nil, nil
-		if n.opts.Depth == 0 {
-			return n.net.UpdateFaults(m)
-		}
-		// Every wire is live again: parked packets resume next cycle.
-		n.deadRing = nil
-		n.strandedQueued = 0
+		n.SetLive(nil, nil)
 		return nil
 	}
 	if got := m.Config(); got != n.cfg {
 		return fmt.Errorf("queuesim: masks compiled for %v, network is %v", got, n.cfg)
 	}
-	for s := 1; s <= n.stages; s++ {
-		n.liveRows[s-1] = m.LiveStageOutputs(s)
+	for s := range n.rows {
+		n.rows[s] = m.LiveStageOutputs(s + 1)
 	}
-	n.liveIn = m.LiveInputs()
-	n.live = n.liveRows
-	if n.opts.Depth == 0 {
-		n.refreshS1Cap()
-		return n.net.UpdateFaults(m)
-	}
-	n.refreshDeadRings()
+	n.SetLive(m.LiveInputs(), n.rows)
 	return nil
-}
-
-// refreshS1Cap recomputes the unbuffered corner's stage-1 bucket
-// live-wire counts from the current mask.
-func (n *Network) refreshS1Cap() {
-	c := n.cfg.C
-	row := n.live[0]
-	for b := range n.s1cap {
-		if row == nil {
-			n.s1cap[b] = int32(c)
-			continue
-		}
-		liveCnt := int32(0)
-		for k := 0; k < c; k++ {
-			if row[b*c+k] {
-				liveCnt++
-			}
-		}
-		n.s1cap[b] = liveCnt
-	}
-}
-
-// refreshDeadRings recomputes the ring-level view of the current masks:
-// which FIFOs sit on dead wires (the per-stage rows fold a wire's own
-// death, its switch port and its downstream switch into one bit, and
-// the ring is the buffer attached to that wire), and how many live
-// wires each bucket retains. Packets found queued in a dead ring are
-// stranded per policy. O(wires) per mask swap, no allocations.
-func (n *Network) refreshDeadRings() {
-	for i := range n.deadRingBuf {
-		n.deadRingBuf[i] = false
-	}
-	any := false
-	if n.liveIn != nil {
-		for w, ok := range n.liveIn {
-			if !ok {
-				n.deadRingBuf[w] = true
-				any = true
-			}
-		}
-	}
-	cfg := n.cfg
-	c := cfg.C
-	for s := 1; s <= cfg.L; s++ {
-		row := n.live[s-1]
-		caps := n.liveCap[s-1]
-		if row == nil {
-			for i := range caps {
-				caps[i] = int32(c)
-			}
-			continue
-		}
-		tab := n.gammaTab[s-1]
-		base := n.base[s]
-		for b := range caps {
-			liveCnt := int32(0)
-			for k := 0; k < c; k++ {
-				o := b*c + k
-				if row[o] {
-					liveCnt++
-					continue
-				}
-				down := o
-				if tab != nil {
-					down = int(tab[o])
-				}
-				n.deadRingBuf[base+down] = true
-				any = true
-			}
-			caps[b] = liveCnt
-		}
-	}
-	n.strandedQueued = 0
-	if !any {
-		n.deadRing = nil
-		return
-	}
-	n.deadRing = n.deadRingBuf
-	drop := n.opts.Policy == Drop
-	for i := range n.rings {
-		if !n.deadRing[i] {
-			continue
-		}
-		r := &n.rings[i]
-		if r.N == 0 {
-			continue
-		}
-		stranded := int64(r.N)
-		if drop {
-			for r.N > 0 {
-				pkt := r.Pop()
-				if n.probe != nil && pkt&ringbuf.TraceBit != 0 {
-					n.probe.Close(pkt, n.ringStage(i), probe.EvStrand, n.now)
-				}
-				if n.anat != nil {
-					n.anat.Strand(i, n.now)
-				}
-			}
-			n.queued -= stranded
-			n.totals.Stranded += stranded
-		} else {
-			n.strandedQueued += stranded
-			if n.probe != nil {
-				for k := int32(0); k < r.N; k++ {
-					pkt := r.Buf[(int(r.Head)+int(k))&(len(r.Buf)-1)]
-					if pkt&ringbuf.TraceBit != 0 {
-						n.probe.Hop(pkt, n.ringStage(i), probe.EvPark, n.now)
-					}
-				}
-			}
-		}
-	}
 }
 
 // Config returns the network's configuration.
 func (n *Network) Config() topology.Config { return n.cfg }
-
-// Depth returns the configured FIFO depth.
-func (n *Network) Depth() int { return n.opts.Depth }
-
-// Policy returns the configured blocked-packet discipline.
-func (n *Network) Policy() Policy { return n.opts.Policy }
-
-// Now returns the number of cycles simulated so far.
-func (n *Network) Now() int64 { return n.now }
-
-// Queued returns the number of packets currently inside the network.
-func (n *Network) Queued() int64 { return n.queued }
-
-// Totals returns the lifetime packet counters.
-func (n *Network) Totals() Totals { return n.totals }
-
-// DroppedPerStage returns a copy of the per-stage drop counters
-// (1-based stage s at index s-1; all zeros under Backpressure).
-func (n *Network) DroppedPerStage() []int64 {
-	return append([]int64(nil), n.perStage...)
-}
-
-// Latency returns the live delivery-latency histogram. Latency is
-// measured in cycles from injection to retirement at the destination
-// terminal: the pipelined network's floor is Stages() (one hop per
-// cycle); the unbuffered corner's floor is 1 (whole-network transit in
-// the injection cycle). The histogram keeps accumulating as the network
-// runs; ResetLatency starts a fresh measurement window.
-func (n *Network) Latency() *stats.Histogram { return n.lat }
-
-// ResetLatency clears the latency histogram — typically called after
-// warmup so measured quantiles exclude the fill transient. Queue state
-// and lifetime totals are unaffected.
-func (n *Network) ResetLatency() { n.lat.Reset() }
-
-// SetDeliveryHook installs fn to be called once per retired packet,
-// with the packet's destination terminal and its injection cycle
-// truncated to the 32 bits the in-flight word carries (compare against
-// int64(uint32(cycle))). The hook fires inside Cycle after the
-// delivery is counted; it must not call back into the network. A nil
-// fn removes the hook. Closed-loop drivers (internal/closedloop) use
-// this to match deliveries to outstanding requests without adding any
-// per-packet state; installing the hook once at construction keeps the
-// steady-state advance allocation-free.
-func (n *Network) SetDeliveryHook(fn func(dest int, inject int64)) { n.deliver = fn }
-
-// ProbeMetrics names the per-stage heat metrics this engine reports,
-// in the AddStage index order of the pm* constants.
-var ProbeMetrics = []string{"occupancy", "hol_blocked", "parked", "dropped"}
-
-const (
-	pmOccupancy = iota
-	pmHolBlocked
-	pmParked
-	pmDropped
-)
-
-// SetProbe attaches a flight-recorder probe (nil detaches). The probe
-// observes without perturbing: every routing, arbitration and queueing
-// decision is identical with or without it, and the nil check costs one
-// predictable branch per site (BenchmarkProbeOff pins the nil path at
-// 0 allocs/op). Heat rows are bound per stage; sampled packets carry
-// ringbuf.TraceBit through the rings. Not safe to swap mid-cycle.
-func (n *Network) SetProbe(p *probe.Probe) {
-	n.probe = p
-	if p == nil {
-		return
-	}
-	p.Bind(n.stages, ProbeMetrics)
-	if n.opts.Depth == 0 && n.pendTrace == nil {
-		n.pendTrace = make([]int32, n.inputs)
-	}
-	for i := range n.pendTrace {
-		n.pendTrace[i] = -1
-	}
-}
-
-// SetAnatomy attaches a latency-anatomy collector (nil detaches),
-// binding it to this network's ring geometry. Like the probe, the
-// collector observes without perturbing — no routing, arbitration or
-// queueing decision changes, and the detached path costs one branch
-// per site (BenchmarkAnatomyOff pins it at 0 allocs/op). Not safe to
-// swap mid-cycle.
-func (n *Network) SetAnatomy(a *anatomy.Collector) {
-	n.anat = a
-	if a == nil {
-		return
-	}
-	outputs := n.cfg.Outputs()
-	if n.opts.Depth == 0 {
-		a.Bind(anatomy.Layout{Stages: n.stages, Inputs: n.inputs, Outputs: outputs})
-		return
-	}
-	lay := anatomy.Layout{
-		Stages: n.stages, Inputs: n.inputs, Outputs: outputs,
-		Rings:      len(n.rings),
-		RingStage:  make([]int32, len(n.rings)),
-		RingSwitch: make([]int32, len(n.rings)),
-		TermSwitch: make([]int32, outputs),
-	}
-	for i := range n.rings {
-		s := n.ringStage(i)
-		width := n.cfg.A
-		if s == n.stages {
-			width = n.cfg.C
-		}
-		lay.RingStage[i] = int32(s)
-		lay.RingSwitch[i] = int32((i - n.base[s-1]) / width)
-	}
-	for t := 0; t < outputs; t++ {
-		lay.TermSwitch[t] = int32(t / n.cfg.C)
-	}
-	a.Bind(lay)
-}
-
-// ringStage returns the 1-based stage fed by ring i.
-func (n *Network) ringStage(i int) int {
-	s := 1
-	for s < len(n.base) && i >= n.base[s] {
-		s++
-	}
-	return s
-}
-
-// recordHeat folds this cycle's occupancy census into the probe and
-// closes the heat cycle. Only called with a probe attached; the scan is
-// O(wires), a cost the attached probe accepts and the nil path never
-// pays.
-func (n *Network) recordHeat() {
-	if n.opts.Depth == 0 {
-		n.probe.AddStage(pmOccupancy, 0, float64(n.queued))
-	} else {
-		for s := 1; s <= n.stages; s++ {
-			lo := n.base[s-1]
-			hi := len(n.rings)
-			if s < len(n.base) {
-				hi = n.base[s]
-			}
-			occ := int64(0)
-			for i := lo; i < hi; i++ {
-				occ += int64(n.rings[i].N)
-			}
-			n.probe.AddStage(pmOccupancy, s-1, float64(occ))
-		}
-	}
-	n.probe.EndCycle()
-}
-
-// InputFree reports whether input i can accept an injection this cycle:
-// its stage-1 FIFO has room (pipelined) or its in-flight slot is empty
-// (unbuffered). A dead input is never free. Closed-loop drivers poll it
-// to offer exactly when the network can accept.
-func (n *Network) InputFree(i int) bool {
-	if n.liveIn != nil && !n.liveIn[i] {
-		return false
-	}
-	if n.opts.Depth == 0 {
-		return n.pending[i] == NoRequest
-	}
-	return n.rings[i].HasSpace(n.opts.Depth)
-}
-
-// Cycle advances the network by one cycle and then injects dest:
-// dest[i] is the destination terminal for a new packet entering input
-// i, or NoRequest. Stages advance downstream-first, so a buffer slot
-// freed this cycle is usable by the upstream stage in the same cycle
-// and packets sustain one hop per cycle at full throughput. Injections
-// that find their input full are counted as Refused and lost (an open
-// loop drops at the source; closed-loop drivers use InputFree to offer
-// only what fits).
-func (n *Network) Cycle(dest []int) (CycleStats, error) {
-	if len(dest) != n.inputs {
-		return CycleStats{}, fmt.Errorf("queuesim: %v got %d injections, want %d inputs", n.cfg, len(dest), n.inputs)
-	}
-	// Validate the whole injection vector before touching any state: a
-	// mid-cycle abort would leave the lifetime Totals out of step with
-	// the queue contents and break the conservation invariant forever.
-	outputs := n.cfg.Outputs()
-	for i, d := range dest {
-		if d != NoRequest && (d < 0 || d >= outputs) {
-			return CycleStats{}, fmt.Errorf("queuesim: input %d requests output %d out of range [0,%d)", i, d, outputs)
-		}
-	}
-	n.now++
-	var cs CycleStats
-	if n.opts.Depth == 0 {
-		if err := n.cycleUnbuffered(dest, &cs); err != nil {
-			return CycleStats{}, err
-		}
-	} else {
-		for s := n.stages; s >= 1; s-- {
-			n.advanceStage(s, &cs)
-		}
-		if n.strandedQueued != 0 {
-			// Packets parked in dead rings never reach arbitration; they
-			// still count as parked-on-dead every cycle they wait.
-			cs.ParkedOnDead += int(n.strandedQueued)
-		}
-		depth := n.opts.Depth
-		for i, d := range dest {
-			if d == NoRequest {
-				continue
-			}
-			cs.Injected++
-			if n.liveIn != nil && !n.liveIn[i] {
-				cs.Refused++ // severed input wire: refused at the source
-				continue
-			}
-			r := &n.rings[i]
-			if !r.HasSpace(depth) {
-				cs.Refused++
-				continue
-			}
-			pkt := ringbuf.Pack(d, n.now)
-			if n.probe != nil {
-				pkt = n.probe.TagInject(i, pkt, n.now)
-			}
-			r.Push(pkt)
-			n.queued++
-			if n.anat != nil {
-				n.anat.Inject(i, i, d, n.now)
-			}
-		}
-		if n.anat != nil {
-			n.anat.EndCycle(n.now)
-		}
-	}
-	if n.probe != nil {
-		n.recordHeat()
-	}
-	n.totals.Injected += int64(cs.Injected)
-	n.totals.Refused += int64(cs.Refused)
-	n.totals.Delivered += int64(cs.Delivered)
-	n.totals.Dropped += int64(cs.Dropped)
-	return cs, nil
-}
-
-// Drain runs idle cycles (no injections) until the network empties,
-// returning how many cycles it took. It fails if the network still
-// holds packets after maxCycles — under Backpressure with bounded
-// depth the network always drains, so hitting the cap indicates a
-// deadlocked caller expectation, not a simulator state.
-func (n *Network) Drain(maxCycles int) (int, error) {
-	if n.idleBatch == nil {
-		n.idleBatch = make([]int, n.inputs)
-		for i := range n.idleBatch {
-			n.idleBatch[i] = NoRequest
-		}
-	}
-	for c := 0; c < maxCycles; c++ {
-		if n.queued == 0 {
-			return c, nil
-		}
-		if _, err := n.Cycle(n.idleBatch); err != nil {
-			return c, err
-		}
-	}
-	if n.queued == 0 {
-		return maxCycles, nil
-	}
-	return maxCycles, fmt.Errorf("queuesim: %d packets still queued after %d drain cycles", n.queued, maxCycles)
-}
-
-// retire records one delivery.
-func (n *Network) retire(pkt uint64, cs *CycleStats) {
-	n.lat.Add(ringbuf.Latency(pkt, n.now))
-	n.queued--
-	cs.Delivered++
-	if n.probe != nil {
-		n.probe.Close(pkt, n.stages, probe.EvDeliver, n.now)
-	}
-	if n.deliver != nil {
-		n.deliver(ringbuf.Dest(pkt), int64(uint32(pkt>>32)))
-	}
-}
-
-// advanceStage runs one cycle of stage s (1-based): head-of-line
-// arbitration per switch over the boundary s-1 FIFOs, winners crossing
-// the interstage table into the boundary s FIFOs (or retiring at the
-// crossbar), losers retained or dropped per policy. It mirrors
-// core.routeStage's structure — fused priority fast path, arbiter
-// orders otherwise — with the FIFO heads standing in for the wire
-// ownership vector.
-func (n *Network) advanceStage(s int, cs *CycleStats) {
-	cfg := n.cfg
-	isCrossbar := s == n.stages
-	width, buckets, capacity := cfg.A, cfg.B, cfg.C
-	var tab []int32
-	var shift uint
-	var bc int
-	if isCrossbar {
-		// bc = c makes outBase + d the crossbar's stage-local output
-		// label (the network output terminal), which is how the fault
-		// row indexes it; the unmasked paths never read outBase here.
-		width, buckets, capacity = cfg.C, cfg.C, 1
-		bc = cfg.C
-	} else {
-		tab = n.gammaTab[s-1]
-		shift = n.shift[s-1]
-		bc = cfg.B * cfg.C
-	}
-	var live []bool
-	if n.live != nil {
-		live = n.live[s-1]
-	}
-	var liveCap []int32
-	if live != nil && !isCrossbar {
-		liveCap = n.liveCap[s-1]
-	}
-	inBase := n.base[s-1]
-	var dead []bool // rings on dead wires: heads skipped, packets parked
-	if n.deadRing != nil {
-		dead = n.deadRing[inBase:]
-	}
-	var outRings []ringbuf.Ring
-	if !isCrossbar {
-		outRings = n.rings[n.base[s]:]
-	}
-	nsw := cfg.SwitchesInStage(s)
-	depth := n.opts.Depth
-	drop := n.opts.Policy == Drop
-	used := n.used[:buckets]
-
-	if n.fastPriority {
-		// Priority arbitration considers inputs in natural wire order, so
-		// gather/arbitrate/advance fuse into one pass per switch.
-		for sw := 0; sw < nsw; sw++ {
-			swIn := inBase + sw*width
-			for i := range used {
-				used[i] = 0
-			}
-			for p := 0; p < width; p++ {
-				r := &n.rings[swIn+p]
-				if r.N == 0 {
-					continue
-				}
-				if dead != nil && dead[sw*width+p] {
-					continue // parked on a dead wire (Drop strands at swap time)
-				}
-				pkt := r.Peek()
-				var d int
-				if isCrossbar {
-					d = int(uint32(pkt) & n.maskC)
-				} else {
-					d = int((uint32(pkt) >> shift) & n.maskB)
-				}
-				if !n.advancePacket(r, pkt, d, sw*bc, capacity, isCrossbar, depth, tab, outRings, live, cs) {
-					switch {
-					case drop:
-						r.Pop()
-						n.queued--
-						cs.Dropped++
-						n.perStage[s-1]++
-						if n.probe != nil {
-							n.probe.AddStage(pmDropped, s-1, 1)
-							n.probe.Close(pkt, s, probe.EvDrop, n.now)
-						}
-						if n.anat != nil {
-							n.anat.Drop(swIn+p, n.anatBlocker(s, sw*bc, d), n.now)
-						}
-					case headDeadBlocked(sw, d, isCrossbar, cfg, live, liveCap):
-						cs.ParkedOnDead++
-						if n.probe != nil {
-							n.probe.AddStage(pmParked, s-1, 1)
-							n.probe.Hop(pkt, s, probe.EvPark, n.now)
-						}
-						if n.anat != nil {
-							n.anat.Park(swIn+p, n.now)
-						}
-					default:
-						if n.probe != nil {
-							n.probe.AddStage(pmHolBlocked, s-1, 1)
-							n.probe.Hop(pkt, s, probe.EvBlock, n.now)
-						}
-						if n.anat != nil {
-							n.anat.Block(swIn+p, n.anatBlocker(s, sw*bc, d), n.now)
-						}
-					}
-				} else {
-					if n.probe != nil && !isCrossbar {
-						n.probe.Hop(pkt, s, probe.EvTraverse, n.now)
-					}
-					if n.anat != nil {
-						if isCrossbar {
-							n.anat.Deliver(swIn+p, n.now)
-						} else {
-							n.anat.Advance(swIn+p, n.base[s]+n.anatTo, n.now)
-						}
-					}
-				}
-			}
-		}
-		return
-	}
-
-	// General-arbiter path: gather each switch's head digits, obtain the
-	// arbitration order (idle switches never consult their arbiter, so
-	// stateful arbiters advance exactly as in core), then advance in
-	// order.
-	digits := n.digits[:width]
-	for sw := 0; sw < nsw; sw++ {
-		swIn := inBase + sw*width
-		busy := false
-		for p := 0; p < width; p++ {
-			r := &n.rings[swIn+p]
-			if r.N == 0 || (dead != nil && dead[sw*width+p]) {
-				digits[p] = switchfab.Idle
-				continue
-			}
-			busy = true
-			pkt := r.Peek()
-			if isCrossbar {
-				digits[p] = int(uint32(pkt) & n.maskC)
-			} else {
-				digits[p] = int((uint32(pkt) >> shift) & n.maskB)
-			}
-		}
-		if !busy {
-			continue
-		}
-		var order []int // nil = natural order
-		switch a := n.arbiter(s, sw).(type) {
-		case switchfab.PriorityArbiter:
-		case switchfab.InPlaceArbiter:
-			order = n.order[:width]
-			a.OrderInto(order)
-		default:
-			order = a.Order(width)
-		}
-		for i := range used {
-			used[i] = 0
-		}
-		for idx := 0; idx < width; idx++ {
-			p := idx
-			if order != nil {
-				p = order[idx]
-			}
-			d := digits[p]
-			if d == switchfab.Idle {
-				continue
-			}
-			r := &n.rings[swIn+p]
-			pkt := r.Peek()
-			if !n.advancePacket(r, pkt, d, sw*bc, capacity, isCrossbar, depth, tab, outRings, live, cs) {
-				switch {
-				case drop:
-					r.Pop()
-					n.queued--
-					cs.Dropped++
-					n.perStage[s-1]++
-					if n.probe != nil {
-						n.probe.AddStage(pmDropped, s-1, 1)
-						n.probe.Close(pkt, s, probe.EvDrop, n.now)
-					}
-					if n.anat != nil {
-						n.anat.Drop(swIn+p, n.anatBlocker(s, sw*bc, d), n.now)
-					}
-				case headDeadBlocked(sw, d, isCrossbar, cfg, live, liveCap):
-					cs.ParkedOnDead++
-					if n.probe != nil {
-						n.probe.AddStage(pmParked, s-1, 1)
-						n.probe.Hop(pkt, s, probe.EvPark, n.now)
-					}
-					if n.anat != nil {
-						n.anat.Park(swIn+p, n.now)
-					}
-				default:
-					if n.probe != nil {
-						n.probe.AddStage(pmHolBlocked, s-1, 1)
-						n.probe.Hop(pkt, s, probe.EvBlock, n.now)
-					}
-					if n.anat != nil {
-						n.anat.Block(swIn+p, n.anatBlocker(s, sw*bc, d), n.now)
-					}
-				}
-			} else {
-				if n.probe != nil && !isCrossbar {
-					n.probe.Hop(pkt, s, probe.EvTraverse, n.now)
-				}
-				if n.anat != nil {
-					if isCrossbar {
-						n.anat.Deliver(swIn+p, n.now)
-					} else {
-						n.anat.Advance(swIn+p, n.base[s]+n.anatTo, n.now)
-					}
-				}
-			}
-		}
-	}
-}
-
-// headDeadBlocked classifies a failed head-of-line advance: true when
-// the packet's target is dead under the current mask — the crossbar
-// terminal itself, or a hyperbar bucket with zero live wires — rather
-// than merely oversubscribed or backed up, so the packet is parked for
-// as long as the mask stands.
-func headDeadBlocked(sw, d int, isCrossbar bool, cfg topology.Config, live []bool, liveCap []int32) bool {
-	if live == nil {
-		return false
-	}
-	if isCrossbar {
-		return !live[sw*cfg.C+d]
-	}
-	return liveCap[sw*cfg.B+d] == 0
-}
-
-// advancePacket tries to move the head packet of r (destination digit
-// d) through its switch: at the crossbar it retires on output bucket d,
-// at a hyperbar it takes the first *live* bucket-d wire whose
-// downstream FIFO has room, crossing the interstage table tab (nil =
-// identity) into the boundary FIFOs outRings. Each output wire carries
-// at most one packet per cycle — used counts grants, wires skipped as
-// full and dead wires alike, so every wire is considered at most once.
-// Returns false if the packet cannot advance this cycle (a packet aimed
-// at a dead output terminal, or at a fully dead bucket, never can).
-func (n *Network) advancePacket(r *ringbuf.Ring, pkt uint64, d, outBase, capacity int, isCrossbar bool, depth int, tab []int32, outRings []ringbuf.Ring, live []bool, cs *CycleStats) bool {
-	if n.anat != nil {
-		n.anatBlockDown, n.anatBlockTerm = -1, false
-	}
-	if isCrossbar {
-		if live != nil && !live[outBase+d] {
-			return false
-		}
-		if n.used[d] != 0 {
-			if n.anat != nil {
-				n.anatBlockTerm = true
-			}
-			return false
-		}
-		n.used[d] = 1
-		r.Pop()
-		n.retire(pkt, cs)
-		return true
-	}
-	for int(n.used[d]) < capacity {
-		o := outBase + d*capacity + int(n.used[d])
-		n.used[d]++
-		if live != nil && !live[o] {
-			continue // dead wire: permanently unusable, skip it
-		}
-		down := o
-		if tab != nil {
-			down = int(tab[o])
-		}
-		dr := &outRings[down]
-		if dr.HasSpace(depth) {
-			r.Pop()
-			dr.Push(pkt)
-			if n.anat != nil {
-				n.anatTo = down
-			}
-			return true
-		}
-		// This wire leads to a full FIFO: it is consumed for the cycle;
-		// try the bucket's next wire.
-		if n.anat != nil && n.anatBlockDown < 0 {
-			n.anatBlockDown = down
-		}
-	}
-	return false
-}
-
-// anatBlocker resolves advancePacket's failure diagnosis into an
-// anatomy node: the contended crossbar terminal, the first full
-// downstream FIFO tried, or -1 when nothing downstream is to blame
-// (every wire of the bucket was dead, or the head lost to a wire
-// already consumed this cycle).
-func (n *Network) anatBlocker(s, outBase, d int) int {
-	if n.anatBlockTerm {
-		return len(n.rings) + outBase + d
-	}
-	if n.anatBlockDown >= 0 {
-		return n.base[s] + n.anatBlockDown
-	}
-	return -1
-}
-
-func (n *Network) arbiter(stage, sw int) switchfab.Arbiter {
-	if n.arbiters[stage-1][sw] == nil {
-		n.arbiters[stage-1][sw] = n.factory()
-	}
-	return n.arbiters[stage-1][sw]
-}
-
-// cycleUnbuffered is the Depth == 0 cycle: every input's in-flight
-// packet (retained from a blocked attempt, or freshly injected) is
-// offered to the core engine, which resolves the whole batch in one
-// circuit-switched pass. Backpressure resubmits blocked packets from
-// the input next cycle — the Section 4 / Section 5.1 closed-loop
-// regime; Drop discards them, reproducing the memoryless engine.
-// Destinations were validated by Cycle before any state changed.
-func (n *Network) cycleUnbuffered(dest []int, cs *CycleStats) error {
-	for i := range n.destBuf {
-		if n.pending[i] != NoRequest {
-			// Input busy: a retained packet resubmits; any new offer is
-			// refused at the source.
-			if dest[i] != NoRequest {
-				cs.Injected++
-				cs.Refused++
-			}
-			n.destBuf[i] = n.pending[i]
-			continue
-		}
-		d := dest[i]
-		if d == NoRequest {
-			n.destBuf[i] = NoRequest
-			continue
-		}
-		cs.Injected++
-		if n.liveIn != nil && !n.liveIn[i] {
-			cs.Refused++ // severed input wire: refused at the source
-			n.destBuf[i] = NoRequest
-			continue
-		}
-		n.pending[i] = d
-		n.pendAt[i] = n.now
-		n.queued++
-		n.destBuf[i] = d
-		if n.probe != nil {
-			if rec := n.probe.SampleInject(i, d, n.now); rec >= 0 {
-				n.pendTrace[i] = rec
-				n.probe.HopRec(rec, 0, probe.EvInject, n.now)
-			}
-		}
-		if n.anat != nil {
-			n.anat.Inject0(i, i, d, n.now)
-		}
-	}
-	if _, err := n.net.RouteCycleInto(n.destBuf, n.outBuf); err != nil {
-		return err
-	}
-	drop := n.opts.Policy == Drop
-	var termRow []bool
-	if n.live != nil {
-		termRow = n.live[n.stages-1]
-	}
-	for i := range n.outBuf {
-		if n.pending[i] == NoRequest {
-			continue
-		}
-		o := n.outBuf[i]
-		switch {
-		case o.Delivered():
-			// A first-attempt delivery has latency 1: one whole-network
-			// transit inside the injection cycle.
-			n.lat.Add(float64(n.now-n.pendAt[i]) + 1)
-			n.queued--
-			cs.Delivered++
-			if n.probe != nil {
-				n.probe.CloseRec(n.pendTrace[i], n.stages, probe.EvDeliver, n.now)
-				n.pendTrace[i] = -1
-			}
-			if n.anat != nil {
-				n.anat.Deliver0(i, n.now)
-			}
-			if n.deliver != nil {
-				n.deliver(n.pending[i], int64(uint32(n.pendAt[i])))
-			}
-			n.pending[i] = NoRequest
-		case drop:
-			n.queued--
-			cs.Dropped++
-			n.perStage[o.BlockedStage-1]++
-			if n.probe != nil {
-				n.probe.AddStage(pmDropped, o.BlockedStage-1, 1)
-				n.probe.CloseRec(n.pendTrace[i], o.BlockedStage, probe.EvDrop, n.now)
-				n.pendTrace[i] = -1
-			}
-			if n.anat != nil {
-				n.anat.Drop0(i, o.BlockedStage, n.now)
-			}
-			n.pending[i] = NoRequest
-		default:
-			// Retained for resubmission. A packet is parked — it will
-			// resubmit forever while the mask stands — when a component
-			// fixed by its (input, destination) pair is dead: its input
-			// wire, its destination terminal, or its stage-1 bucket (the
-			// switch is pinned by the input; beyond stage 1 the c-way
-			// wire freedom redraws paths every cycle, so mid-network
-			// dead buckets in the expanded family are contention, not
-			// parking; the c=1 delta corner's longer pinned paths are
-			// not classified).
-			d := n.pending[i]
-			parkStage := 0
-			switch {
-			case n.liveIn != nil && !n.liveIn[i]:
-				cs.ParkedOnDead++
-				parkStage = 1
-			case termRow != nil && !termRow[d]:
-				cs.ParkedOnDead++
-				parkStage = n.stages
-			case n.live != nil && n.live[0] != nil &&
-				n.s1cap[(i/n.cfg.A)*n.cfg.B+int((uint32(d)>>n.s1shift)&n.maskB)] == 0:
-				cs.ParkedOnDead++
-				parkStage = 1
-			}
-			if n.probe != nil {
-				if parkStage != 0 {
-					n.probe.AddStage(pmParked, parkStage-1, 1)
-					n.probe.HopRec(n.pendTrace[i], parkStage, probe.EvPark, n.now)
-				} else {
-					n.probe.AddStage(pmHolBlocked, o.BlockedStage-1, 1)
-					n.probe.HopRec(n.pendTrace[i], o.BlockedStage, probe.EvBlock, n.now)
-				}
-			}
-			if n.anat != nil {
-				if parkStage != 0 {
-					n.anat.Block0(i, parkStage, true, n.now)
-				} else {
-					n.anat.Block0(i, o.BlockedStage, false, n.now)
-				}
-			}
-		}
-	}
-	if n.anat != nil {
-		n.anat.EndCycle0()
-	}
-	return nil
-}

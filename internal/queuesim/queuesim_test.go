@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"edn/internal/core"
+	"edn/internal/faults"
 	"edn/internal/switchfab"
 	"edn/internal/topology"
 	"edn/internal/traffic"
@@ -146,38 +147,67 @@ func TestDepth1DropMatchesUnbufferedEngine(t *testing.T) {
 
 // TestDepth0DropMatchesUnbufferedEngine checks the other degenerate
 // corner: depth 0 with Drop is the memoryless engine itself, packet for
-// packet within the same cycle.
+// packet within the same cycle and stage for stage in where packets
+// die — on the fused and arbitrated paths, healthy and faulted. A
+// request core blocks at a dead input is refused at the source here.
 func TestDepth0DropMatchesUnbufferedEngine(t *testing.T) {
-	cfg := mustCfg(t, 16, 4, 4, 2)
-	rng := xrand.New(5)
-	gen := traffic.Uniform{Rate: 0.9, Rng: rng}
-	ref, err := core.NewNetwork(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := New(cfg, Options{Depth: 0, Policy: Drop})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dest := make([]int, cfg.Inputs())
-	outcomes := make([]core.Outcome, cfg.Inputs())
-	for cycle := 0; cycle < 50; cycle++ {
-		gen.GenerateInto(dest, cfg.Outputs())
-		cs, err := ref.RouteCycleInto(dest, outcomes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		qs, err := q.Cycle(dest)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if qs.Delivered != cs.Delivered || qs.Injected != cs.Offered || qs.Dropped != cs.BlockedTotal() {
-			t.Fatalf("cycle %d: queuesim %+v vs core offered=%d delivered=%d blocked=%d",
-				cycle, qs, cs.Offered, cs.Delivered, cs.BlockedTotal())
-		}
-		if q.Queued() != 0 {
-			t.Fatalf("cycle %d: depth-0 drop retained %d packets", cycle, q.Queued())
-		}
+	roundRobin := func() switchfab.Arbiter { return &switchfab.RoundRobinArbiter{} }
+	for _, tc := range []struct {
+		dims    [4]int
+		arb     string
+		factory core.ArbiterFactory
+		faults  float64
+	}{
+		{[4]int{16, 4, 4, 2}, "priority", nil, 0},
+		{[4]int{16, 4, 4, 2}, "roundrobin", roundRobin, 0},
+		{[4]int{8, 2, 4, 3}, "priority", nil, 0.15},
+		{[4]int{4, 4, 1, 2}, "roundrobin", roundRobin, 0.15},
+	} {
+		cfg := mustCfg(t, tc.dims[0], tc.dims[1], tc.dims[2], tc.dims[3])
+		m := faults.MustCompile(cfg, faults.Bernoulli(cfg, faults.MixedFaults, tc.faults, xrand.New(9)))
+		t.Run(fmt.Sprintf("%v/%s/faults%g", cfg, tc.arb, tc.faults), func(t *testing.T) {
+			gen := traffic.Uniform{Rate: 0.9, Rng: xrand.New(5)}
+			ref, err := core.NewNetworkWithFaults(cfg, tc.factory, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, err := New(cfg, Options{Depth: 0, Policy: Drop, Factory: tc.factory, Faults: m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dest := make([]int, cfg.Inputs())
+			outcomes := make([]core.Outcome, cfg.Inputs())
+			prev := q.DroppedPerStage()
+			for cycle := 0; cycle < 50; cycle++ {
+				gen.GenerateInto(dest, cfg.Outputs())
+				cs, err := ref.RouteCycleInto(dest, outcomes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				qs, err := q.Cycle(dest)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if qs.Delivered != cs.Delivered || qs.Injected != cs.Offered || qs.Dropped+qs.Refused != cs.BlockedTotal() {
+					t.Fatalf("cycle %d: queuesim %+v vs core offered=%d delivered=%d blocked=%d",
+						cycle, qs, cs.Offered, cs.Delivered, cs.BlockedTotal())
+				}
+				now := q.DroppedPerStage()
+				for s := range now {
+					got := now[s] - prev[s]
+					if s == 0 {
+						got += int64(qs.Refused)
+					}
+					if got != int64(cs.Blocked[s]) {
+						t.Fatalf("cycle %d stage %d: queuesim lost %d, core blocked %d", cycle, s+1, got, cs.Blocked[s])
+					}
+				}
+				prev = now
+				if q.Queued() != 0 {
+					t.Fatalf("cycle %d: depth-0 drop retained %d packets", cycle, q.Queued())
+				}
+			}
+		})
 	}
 }
 

@@ -375,68 +375,87 @@ func TestStrandedRingParksAndRepairs(t *testing.T) {
 	}
 }
 
-// TestParkedOnDeadStageOneBucketUnbuffered pins the unbuffered corner
-// the buffered engine classifies via liveCap: a packet whose stage-1
-// bucket has no live wire left is pinned (the switch is fixed by its
-// input, the bucket by its destination) and must count as parked every
-// cycle, then deliver after the repair.
+// TestParkedOnDeadStageOneBucketUnbuffered pins the unbuffered
+// corner's parked census: a packet whose switch path crosses a bucket
+// with no live wire left can never deliver (every bucket's wires land
+// on one next-stage switch, so the input and destination fix the whole
+// path) and must count as parked every cycle, then deliver after the
+// repair — whether the dead bucket sits at stage 1 or further in, and
+// when the packet's own input dies under it.
 func TestParkedOnDeadStageOneBucketUnbuffered(t *testing.T) {
 	cfg := updCfg(t, 4, 4, 2, 2)
-	net, err := New(cfg, Options{Depth: 0, Policy: Backpressure})
-	if err != nil {
-		t.Fatal(err)
+	// Input 0 sends to output 0: routing digit 0 at every stage. Its
+	// stage-1 switch is 0; its stage-2 switch is where stage-1 bucket 0
+	// lands.
+	sw2, _ := cfg.SwitchOfLine(2, int(cfg.InterstageTable(1)[0]))
+	deadBucket := func(stage, sw int) faults.Set { // both wires of bucket 0
+		return faults.Set{Ports: []faults.PortID{
+			{Stage: stage, Switch: sw, Bucket: 0, Wire: 0},
+			{Stage: stage, Switch: sw, Bucket: 0, Wire: 1},
+		}}
 	}
-	// Kill both wires of bucket 0 of stage-1 switch 0: input 0's route
-	// toward any destination with first digit 0 is severed at stage 1.
-	m, err := faults.Compile(cfg, faults.Set{Ports: []faults.PortID{
-		{Stage: 1, Switch: 0, Bucket: 0, Wire: 0},
-		{Stage: 1, Switch: 0, Bucket: 0, Wire: 1},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := net.UpdateFaults(m); err != nil {
-		t.Fatal(err)
-	}
-	dest := make([]int, cfg.Inputs())
-	for i := range dest {
-		dest[i] = NoRequest
-	}
-	dest[0] = 0 // first routing digit 0 -> the dead bucket
-	if _, err := net.Cycle(dest); err != nil {
-		t.Fatal(err)
-	}
-	dest[0] = NoRequest
-	for c := 0; c < 10; c++ {
-		cs, err := net.Cycle(dest)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cs.ParkedOnDead != 1 {
-			t.Fatalf("cycle %d: ParkedOnDead = %d, want 1 (pinned resubmission)", c, cs.ParkedOnDead)
-		}
-		if cs.Delivered != 0 {
-			t.Fatalf("cycle %d: packet crossed a fully dead bucket", c)
-		}
-	}
-	empty, err := faults.Compile(cfg, faults.Set{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := net.UpdateFaults(empty); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.Drain(100); err != nil {
-		t.Fatal(err)
-	}
-	if tot := net.Totals(); tot.Delivered != 1 {
-		t.Fatalf("repair did not release the pinned packet: %+v", tot)
+	for _, tc := range []struct {
+		name string
+		sets []faults.Set // the first is applied before injection, the last stands
+	}{
+		{"stage1", []faults.Set{deadBucket(1, 0)}},
+		{"stage2", []faults.Set{deadBucket(2, sw2)}},
+		{"input", []faults.Set{deadBucket(1, 0), {Wires: []faults.WireID{{Boundary: 0, Wire: 0}}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net, err := New(cfg, Options{Depth: 0, Policy: Backpressure})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := net.UpdateFaults(faults.MustCompile(cfg, tc.sets[0])); err != nil {
+				t.Fatal(err)
+			}
+			dest := make([]int, cfg.Inputs())
+			for i := range dest {
+				dest[i] = NoRequest
+			}
+			dest[0] = 0
+			if _, err := net.Cycle(dest); err != nil {
+				t.Fatal(err)
+			}
+			dest[0] = NoRequest
+			for _, set := range tc.sets[1:] {
+				if err := net.UpdateFaults(faults.MustCompile(cfg, set)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for c := 0; c < 10; c++ {
+				cs, err := net.Cycle(dest)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cs.ParkedOnDead != 1 {
+					t.Fatalf("cycle %d: ParkedOnDead = %d, want 1 (pinned resubmission)", c, cs.ParkedOnDead)
+				}
+				if cs.Delivered != 0 {
+					t.Fatalf("cycle %d: packet delivered past a dead component", c)
+				}
+			}
+			empty, err := faults.Compile(cfg, faults.Set{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := net.UpdateFaults(empty); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := net.Drain(100); err != nil {
+				t.Fatal(err)
+			}
+			if tot := net.Totals(); tot.Delivered != 1 {
+				t.Fatalf("repair did not release the pinned packet: %+v", tot)
+			}
+		})
 	}
 }
 
-// TestUpdateFaultsZeroAllocQueue pins the epoch hot path for the
-// pipelined engine: swapping precompiled masks and advancing allocates
-// nothing, for both policies.
+// TestUpdateFaultsZeroAllocQueue pins the epoch hot path: swapping
+// precompiled masks and advancing allocates nothing, for both policies,
+// on the pipelined engine and on the unbuffered wave.
 func TestUpdateFaultsZeroAllocQueue(t *testing.T) {
 	cfg := updCfg(t, 16, 4, 4, 2)
 	m1 := faults.MustCompile(cfg, faults.Bernoulli(cfg, faults.WireFaults, 0.1, xrand.New(3)))
@@ -445,36 +464,38 @@ func TestUpdateFaultsZeroAllocQueue(t *testing.T) {
 	masks := []*faults.Masks{m1, m2, empty}
 	for _, policy := range []Policy{Drop, Backpressure} {
 		t.Run(policy.String(), func(t *testing.T) {
-			net, err := New(cfg, Options{Depth: 4, Policy: policy})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := xrand.New(5)
-			dest := make([]int, cfg.Inputs())
-			gen := func() {
-				for i := range dest {
-					dest[i] = rng.Intn(cfg.Outputs())
-				}
-			}
-			for c := 0; c < 50; c++ { // reach ring steady state first
-				gen()
-				if _, err := net.Cycle(dest); err != nil {
+			for _, depth := range []int{0, 4} {
+				net, err := New(cfg, Options{Depth: depth, Policy: policy})
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			i := 0
-			allocs := testing.AllocsPerRun(100, func() {
-				if err := net.UpdateFaults(masks[i%len(masks)]); err != nil {
-					t.Fatal(err)
+				rng := xrand.New(5)
+				dest := make([]int, cfg.Inputs())
+				gen := func() {
+					for i := range dest {
+						dest[i] = rng.Intn(cfg.Outputs())
+					}
 				}
-				gen()
-				if _, err := net.Cycle(dest); err != nil {
-					t.Fatal(err)
+				for c := 0; c < 50; c++ { // reach ring steady state first
+					gen()
+					if _, err := net.Cycle(dest); err != nil {
+						t.Fatal(err)
+					}
 				}
-				i++
-			})
-			if allocs != 0 {
-				t.Errorf("mask swap + cycle allocated %.1f times per epoch", allocs)
+				i := 0
+				allocs := testing.AllocsPerRun(100, func() {
+					if err := net.UpdateFaults(masks[i%len(masks)]); err != nil {
+						t.Fatal(err)
+					}
+					gen()
+					if _, err := net.Cycle(dest); err != nil {
+						t.Fatal(err)
+					}
+					i++
+				})
+				if allocs != 0 {
+					t.Errorf("depth %d: mask swap + cycle allocated %.1f times per epoch", depth, allocs)
+				}
 			}
 		})
 	}

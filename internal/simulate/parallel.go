@@ -15,8 +15,10 @@ import (
 // runs — each with its own network instance and a seed derived from
 // opts.Seed — whose aggregates are merged exactly (Welford merge for the
 // confidence interval). Monte-Carlo cycles are embarrassingly parallel,
-// so this scales where stage-level parallelism (core.SetParallelism)
-// does not.
+// so parallelism belongs here, across runs, rather than across the
+// switches of one cycle: after the interstage shuffle neighbouring
+// switches write scattered slots of shared arrays, and splitting a
+// stage across goroutines measured no faster than the serial kernel.
 //
 // Results are deterministic for a fixed (seed, workers) pair; changing
 // the worker count changes the substreams and therefore the noise, not

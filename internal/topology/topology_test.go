@@ -360,3 +360,45 @@ func fingerprint(p []int) string {
 	}
 	return string(out)
 }
+
+// TestBucketLandsOnOneSwitch pins the property the packet engine's
+// parked census rests on: the c wires of every hyperbar bucket land on
+// one next-stage switch, so a packet's switch path is fixed by its input
+// and destination and only the wire within each bucket is free. It
+// covers every valid EDN(a,b,c,l) with a,b <= 64, c <= 16, l <= 4 and
+// at most 64K ports.
+func TestBucketLandsOnOneSwitch(t *testing.T) {
+	configs := 0
+	for a := 1; a <= 64; a *= 2 {
+		for b := 1; b <= 64; b *= 2 {
+			for c := 1; c <= 16; c *= 2 {
+				for l := 1; l <= 4; l++ {
+					cfg, err := New(a, b, c, l)
+					if err != nil || max(cfg.Inputs(), cfg.Outputs()) > 1<<16 {
+						continue
+					}
+					configs++
+					for s := 1; s <= l; s++ {
+						tab := cfg.InterstageTable(s)
+						for bucket := 0; bucket < cfg.WiresAfterStage(s)/c; bucket++ {
+							first := -1
+							for k := 0; k < c; k++ {
+								line := bucket*c + k
+								if tab != nil {
+									line = int(tab[line])
+								}
+								sw, _ := cfg.SwitchOfLine(s+1, line)
+								if first < 0 {
+									first = sw
+								} else if sw != first {
+									t.Fatalf("%v stage %d bucket %d: wire %d lands on switch %d, wire 0 on %d", cfg, s, bucket, k, sw, first)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d configurations", configs)
+}
