@@ -54,14 +54,20 @@
 //     d-dilated delta networks the introduction compares EDNs against
 //     on the same packet engine as QueueNetwork, with only the wiring
 //     changed (ring FIFOs, policies, in-place DilatedMasks swaps; at
-//     d=1 it is bit-for-bit the plain-delta QueueNetwork). MeasureDilatedLatency,
-//     DilatedSaturationSweep, DilatedAvailabilitySweep and
-//     DilatedLifetimeSweep pair with their EDN twins seed-for-seed, so
-//     edn-latency -dilated and edn-lifetime -dilated run both networks
-//     under identical replayed traffic — latency tails and lifetime
-//     churn included, where previously only the mean-field
-//     DilatedDegraded model spoke (edn-faults -dilated keeps that
-//     model as its cheap analytic overlay).
+//     d=1 it is bit-for-bit the plain-delta QueueNetwork). Above the
+//     engine one measurement harness serves both networks: each mode
+//     is one function over a fabric value (the EDN, or its dilated
+//     counterpart with its sub-wire fault plans and churn), so
+//     MeasureDilatedLatency, DilatedSaturationSweep,
+//     DilatedAvailabilitySweep, DilatedLifetimeSweep and the other
+//     Dilated* entry points are their EDN namesakes run on the other
+//     fabric, seed-for-seed. edn-latency -dilated and edn-lifetime
+//     -dilated therefore run both networks under identical replayed
+//     traffic and identically distributed churn (the same renewal
+//     clock and repair window) — latency tails and lifetime churn
+//     included, where previously only the mean-field DilatedDegraded
+//     model spoke (edn-faults -dilated keeps that model as its cheap
+//     analytic overlay).
 //   - Closed-loop workloads: NewClosedLoop layers a request/response
 //     memory workload over two instances of either packet engine —
 //     requests route forward, memory ports service them, replies route

@@ -269,7 +269,7 @@ type LatencyResult = simulate.LatencyResult
 // MeasureLatency runs pattern through a queueing network and reports
 // throughput and the latency distribution after warmup.
 func MeasureLatency(cfg Config, pattern Pattern, qopts QueueOptions, opts SimOptions) (LatencyResult, error) {
-	return simulate.MeasureLatency(cfg, pattern, qopts, opts)
+	return simulate.MeasureLatency(simulate.EDN(cfg, qopts), pattern, opts)
 }
 
 // LoadPattern builds the traffic source for one offered-load point of a
@@ -284,7 +284,7 @@ func BurstyLoad(meanBurst float64) LoadPattern { return simulate.BurstyLoad(mean
 // per offered load, each load's cycle budget split across parallel
 // shards and merged exactly. shards <= 0 selects GOMAXPROCS.
 func SaturationSweep(cfg Config, loads []float64, src LoadPattern, qopts QueueOptions, opts SimOptions, shards int) ([]LatencyResult, error) {
-	return simulate.SaturationSweep(cfg, loads, src, qopts, opts, shards)
+	return simulate.SaturationSweep(simulate.EDN(cfg, qopts), loads, src, opts, shards)
 }
 
 // DrainResult reports a closed-loop drain of q preloaded permutations
@@ -294,7 +294,7 @@ type DrainResult = simulate.DrainResult
 // DrainPermutations preloads q permutation packets per input and runs
 // the network closed-loop until all are delivered.
 func DrainPermutations(cfg Config, q int, qopts QueueOptions, opts SimOptions) (DrainResult, error) {
-	return simulate.DrainPermutations(cfg, q, qopts, opts)
+	return simulate.DrainPermutations(simulate.EDN(cfg, qopts), q, opts)
 }
 
 // Histogram is the fixed-bucket streaming latency histogram with
@@ -399,7 +399,7 @@ type AvailabilityResult = simulate.AvailabilityResult
 // shards that grow nested fault plans under identical traffic replays.
 // shards <= 0 selects GOMAXPROCS; src nil selects uniform traffic.
 func AvailabilitySweep(cfg Config, aopts AvailabilityOptions, src LoadPattern, qopts QueueOptions, opts SimOptions, shards int) ([]AvailabilityResult, error) {
-	return simulate.AvailabilitySweep(cfg, aopts, src, qopts, opts, shards)
+	return simulate.AvailabilitySweep[AvailabilityResult](simulate.EDN(cfg, qopts), aopts, src, opts, shards)
 }
 
 // ---------------------------------------------------------------------------
@@ -454,7 +454,7 @@ type LifetimeResult = simulate.LifetimeResult
 // each epoch's metrics are recorded into exact-merge time series.
 // shards <= 0 selects GOMAXPROCS; src nil selects uniform traffic.
 func LifetimeSweep(cfg Config, lopts LifetimeOptions, src LoadPattern, qopts QueueOptions, opts SimOptions, shards int) (LifetimeResult, error) {
-	return simulate.LifetimeSweep(cfg, lopts, src, qopts, opts, shards)
+	return simulate.LifetimeSweep[LifetimeResult](simulate.EDN(cfg, qopts), lopts, src, opts, shards)
 }
 
 // ---------------------------------------------------------------------------
@@ -627,59 +627,61 @@ func NewDilatedFaultPlan(cfg DilatedDelta, rng *Rand) *DilatedFaultPlan {
 }
 
 // DilatedChurn is a failure/repair process over a dilated network's
-// sub-wires, drawing holding times from the same renewal primitives as
+// sub-wires, ticking every sub-wire through the same renewal clock as
 // LifecycleProcess so matched lifetime comparisons churn both networks
 // identically.
 type DilatedChurn = dilatedsim.Churn
 
 // NewDilatedChurn instantiates sub-wire churn with the given MTBF/MTTR
-// epochs and timing.
+// epochs and timing, repairing immediately (the lifetime sweeps take
+// the repair window from LifecycleSpec.RepairWindow).
 func NewDilatedChurn(cfg DilatedDelta, mtbf, mttr float64, timing LifecycleTiming, rng *Rand) (*DilatedChurn, error) {
-	return dilatedsim.NewChurn(cfg, mtbf, mttr, timing, rng)
+	return dilatedsim.NewChurn(cfg, lifecycle.Spec{MTBF: mtbf, MTTR: mttr, Timing: timing}, rng)
 }
 
-// MeasureDilatedLatency is MeasureLatency over the dilated engine; the
-// result sets Dilated instead of Config.
+// MeasureDilatedLatency is MeasureLatency on the dilated fabric: the
+// same harness, with the result's Dilated set instead of Config.
 func MeasureDilatedLatency(cfg DilatedDelta, pattern Pattern, dopts DilatedQueueOptions, opts SimOptions) (LatencyResult, error) {
-	return simulate.MeasureDilatedLatency(cfg, pattern, dopts, opts)
+	return simulate.MeasureLatency(simulate.Dilated(cfg, dopts), pattern, opts)
 }
 
-// DilatedSaturationSweep measures the counterpart's latency-vs-load
-// curve with the same shard seeding as SaturationSweep: identical
-// Options and shard count drive both networks with identical per-input
-// injection replays.
+// DilatedSaturationSweep is SaturationSweep on the dilated fabric:
+// identical Options and shard count drive both networks with identical
+// per-input injection replays.
 func DilatedSaturationSweep(cfg DilatedDelta, loads []float64, src LoadPattern, dopts DilatedQueueOptions, opts SimOptions, shards int) ([]LatencyResult, error) {
-	return simulate.DilatedSaturationSweep(cfg, loads, src, dopts, opts, shards)
+	return simulate.SaturationSweep(simulate.Dilated(cfg, dopts), loads, src, opts, shards)
 }
 
 // DilatedAvailabilityResult is one measured point of the counterpart's
 // degradation curve.
 type DilatedAvailabilityResult = simulate.DilatedAvailabilityResult
 
-// DilatedAvailabilitySweep measures the counterpart's graceful-
-// degradation curve as sub-wires die (nested per-shard plans, replayed
-// traffic), pairing with AvailabilitySweep under the same Options.
+// DilatedAvailabilitySweep is AvailabilitySweep on the dilated fabric:
+// the counterpart's graceful-degradation curve as sub-wires die
+// (nested per-shard plans, replayed traffic; aopts.Mode is ignored),
+// pairing with AvailabilitySweep under the same Options.
 func DilatedAvailabilitySweep(cfg DilatedDelta, aopts AvailabilityOptions, src LoadPattern, dopts DilatedQueueOptions, opts SimOptions, shards int) ([]DilatedAvailabilityResult, error) {
-	return simulate.DilatedAvailabilitySweep(cfg, aopts, src, dopts, opts, shards)
+	return simulate.AvailabilitySweep[DilatedAvailabilityResult](simulate.Dilated(cfg, dopts), aopts, src, opts, shards)
 }
 
 // DilatedLifetimeResult is the counterpart's availability-over-time
 // view under sub-wire churn.
 type DilatedLifetimeResult = simulate.DilatedLifetimeResult
 
-// DilatedLifetimeSweep simulates the counterpart's whole service life
-// under sub-wire churn (MTBF/MTTR/Timing from lopts.Spec; the dilated
-// population is always the sub-wires), pairing with LifetimeSweep under
-// the same Options.
+// DilatedLifetimeSweep is LifetimeSweep on the dilated fabric: the
+// counterpart's whole service life under sub-wire churn (MTBF, MTTR,
+// Timing and RepairWindow from lopts.Spec; the population is always
+// the sub-wires, so Mode and the blast overlay are ignored), pairing
+// with LifetimeSweep under the same Options.
 func DilatedLifetimeSweep(cfg DilatedDelta, lopts LifetimeOptions, src LoadPattern, dopts DilatedQueueOptions, opts SimOptions, shards int) (DilatedLifetimeResult, error) {
-	return simulate.DilatedLifetimeSweep(cfg, lopts, src, dopts, opts, shards)
+	return simulate.LifetimeSweep[DilatedLifetimeResult](simulate.Dilated(cfg, dopts), lopts, src, opts, shards)
 }
 
-// DilatedDrainPermutations preloads q permutation rounds per port into
-// the dilated engine and drains to empty — the counterpart of
-// DrainPermutations, bit-equal to it at d=1.
+// DilatedDrainPermutations is DrainPermutations on the dilated fabric:
+// q permutation rounds per port, drained to empty; bit-equal to the
+// EDN drain at d=1.
 func DilatedDrainPermutations(cfg DilatedDelta, q int, dopts DilatedQueueOptions, opts SimOptions) (DrainResult, error) {
-	return simulate.DilatedDrainPermutations(cfg, q, dopts, opts)
+	return simulate.DrainPermutations(simulate.Dilated(cfg, dopts), q, opts)
 }
 
 // ---------------------------------------------------------------------------
@@ -748,19 +750,19 @@ type ClosedLoopResult = simulate.ClosedLoopResult
 // MeasureClosedLoop sweeps the closed-loop workload over an EDN at each
 // demand rate, sharded and exactly merged like SaturationSweep.
 func MeasureClosedLoop(cfg Config, rates []float64, lo ClosedLoopOptions, qopts QueueOptions, opts SimOptions, shards int) ([]ClosedLoopResult, error) {
-	return simulate.MeasureClosedLoop(cfg, rates, lo, qopts, opts, shards)
+	return simulate.MeasureClosedLoop(simulate.EDN(cfg, qopts), rates, lo, opts, shards)
 }
 
-// MeasureDilatedClosedLoop is MeasureClosedLoop over the dilated
-// engine; identical Options replay identical demand.
+// MeasureDilatedClosedLoop is MeasureClosedLoop on the dilated
+// fabric; identical Options replay identical demand.
 func MeasureDilatedClosedLoop(cfg DilatedDelta, rates []float64, lo ClosedLoopOptions, dopts DilatedQueueOptions, opts SimOptions, shards int) ([]ClosedLoopResult, error) {
-	return simulate.MeasureDilatedClosedLoop(cfg, rates, lo, dopts, opts, shards)
+	return simulate.MeasureClosedLoop(simulate.Dilated(cfg, dopts), rates, lo, opts, shards)
 }
 
 // MeasureClosedLoopPair runs the replay-matched EDN vs dilated
 // comparison and asserts bit-equal offered demand at every rate point.
 func MeasureClosedLoopPair(cfg Config, dcfg DilatedDelta, rates []float64, lo ClosedLoopOptions, qopts QueueOptions, dopts DilatedQueueOptions, opts SimOptions, shards int) (ednRes, dilRes []ClosedLoopResult, err error) {
-	return simulate.MeasureClosedLoopPair(cfg, dcfg, rates, lo, qopts, dopts, opts, shards)
+	return simulate.MeasureClosedLoopPair(simulate.EDN(cfg, qopts), simulate.Dilated(dcfg, dopts), rates, lo, opts, shards)
 }
 
 // ClosedLoopLifetimeResult is the closed-loop availability-over-time
@@ -773,14 +775,14 @@ type ClosedLoopLifetimeResult = simulate.ClosedLoopLifetimeResult
 // list refreshed from forward-fabric reachability every epoch, request
 // conservation asserted at every epoch boundary.
 func ClosedLoopLifetimeSweep(cfg Config, lopts LifetimeOptions, lo ClosedLoopOptions, qopts QueueOptions, opts SimOptions, shards int) (ClosedLoopLifetimeResult, error) {
-	return simulate.ClosedLoopLifetimeSweep(cfg, lopts, lo, qopts, opts, shards)
+	return simulate.ClosedLoopLifetimeSweep(simulate.EDN(cfg, qopts), lopts, lo, opts, shards)
 }
 
-// DilatedClosedLoopLifetimeSweep is ClosedLoopLifetimeSweep over the
-// dilated counterpart under sub-wire churn, replay-matched to the EDN
-// sweep by the same Options.
+// DilatedClosedLoopLifetimeSweep is ClosedLoopLifetimeSweep on the
+// dilated fabric under sub-wire churn, replay-matched to the EDN sweep
+// by the same Options.
 func DilatedClosedLoopLifetimeSweep(cfg DilatedDelta, lopts LifetimeOptions, lo ClosedLoopOptions, dopts DilatedQueueOptions, opts SimOptions, shards int) (ClosedLoopLifetimeResult, error) {
-	return simulate.DilatedClosedLoopLifetimeSweep(cfg, lopts, lo, dopts, opts, shards)
+	return simulate.ClosedLoopLifetimeSweep(simulate.Dilated(cfg, dopts), lopts, lo, opts, shards)
 }
 
 // ---------------------------------------------------------------------------

@@ -54,11 +54,10 @@ import (
 const NoRequest = queuesim.NoRequest
 
 // Engine is the slice of the packet-engine surface the orchestrator
-// drives. Both fabrics are wirings of one engine, queuesim.Engine, and
-// both queuesim.Network (EDN) and dilatedsim.Network (dilated delta)
-// satisfy this seam through it; the loop code is written once against
-// it, exactly as the simulate harnesses are written against their
-// packetEngine seam.
+// drives. Both fabrics are wirings of one engine, queuesim.Engine,
+// which satisfies this seam directly, as do queuesim.Network (EDN) and
+// dilatedsim.Network (dilated delta) through it; the loop code is
+// written once against it.
 type Engine interface {
 	Cycle(dest []int) (queuesim.CycleStats, error)
 	InputFree(i int) bool

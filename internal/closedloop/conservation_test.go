@@ -112,7 +112,7 @@ func conservationDilated(t *testing.T, depth int, policy queuesim.Policy, retry 
 	}
 	var churnProc *dilatedsim.Churn
 	if churn {
-		churnProc, err = dilatedsim.NewChurn(dcfg, 40, 10, lifecycle.Exponential, xrand.New(43))
+		churnProc, err = dilatedsim.NewChurn(dcfg, lifecycle.Spec{MTBF: 40, MTTR: 10, Timing: lifecycle.Exponential}, xrand.New(43))
 		if err != nil {
 			t.Fatal(err)
 		}

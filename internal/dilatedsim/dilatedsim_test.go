@@ -524,11 +524,11 @@ func TestPlanNests(t *testing.T) {
 func TestChurn(t *testing.T) {
 	cfg := dilatedCfg(t, 2, 2, 3)
 	mtbf, mttr := 16.0, 4.0
-	a, err := NewChurn(cfg, mtbf, mttr, lifecycle.Exponential, xrand.New(41))
+	a, err := NewChurn(cfg, lifecycle.Spec{MTBF: mtbf, MTTR: mttr, Timing: lifecycle.Exponential}, xrand.New(41))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewChurn(cfg, mtbf, mttr, lifecycle.Exponential, xrand.New(41))
+	b, err := NewChurn(cfg, lifecycle.Spec{MTBF: mtbf, MTTR: mttr, Timing: lifecycle.Exponential}, xrand.New(41))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,10 +551,10 @@ func TestChurn(t *testing.T) {
 	if avg < want*0.7 || avg > want*1.3 {
 		t.Fatalf("steady-state dead fraction %.3f, want near %.3f", avg, want)
 	}
-	if _, err := NewChurn(cfg, 0.5, 4, lifecycle.Exponential, xrand.New(1)); err == nil {
+	if _, err := NewChurn(cfg, lifecycle.Spec{MTBF: 0.5, MTTR: 4, Timing: lifecycle.Exponential}, xrand.New(1)); err == nil {
 		t.Error("MTBF < 1 accepted")
 	}
-	if _, err := NewChurn(cfg, 4, 0.5, lifecycle.Exponential, xrand.New(1)); err == nil {
+	if _, err := NewChurn(cfg, lifecycle.Spec{MTBF: 4, MTTR: 0.5, Timing: lifecycle.Exponential}, xrand.New(1)); err == nil {
 		t.Error("MTTR < 1 accepted")
 	}
 }

@@ -217,62 +217,43 @@ func (p *Plan) At(f float64) dilated.FaultSet {
 	return set
 }
 
-// churnComponent is one alternating-renewal state machine, the same
-// shape as lifecycle's.
-type churnComponent struct {
-	dead  bool
-	timer int32
-}
-
 // Churn is a failure/repair process over a dilated network's sub-wires:
-// every sub-wire runs an independent alternating-renewal clock with the
-// given MTBF/MTTR and timing, drawing holding times from the same
-// lifecycle primitives as the EDN-side Process — so a lifetime
+// every sub-wire runs an independent alternating-renewal component on
+// one lifecycle.Clock — the same renewal rule, holding-time draws and
+// repair window as the EDN-side lifecycle.Process — so a lifetime
 // comparison churns both networks' redundancy with identically
-// distributed outages. Step advances one epoch and returns the fault
-// set now in effect, in the vocabulary Compile consumes. It is not safe
-// for concurrent use; sweeps build one per shard.
+// distributed outages under the same maintenance rule. Step advances
+// one epoch and returns the fault set now in effect, in the vocabulary
+// Compile consumes. It is not safe for concurrent use; sweeps build one
+// per shard.
 type Churn struct {
-	cfg    dilated.Config
-	mtbf   float64
-	mttr   float64
-	timing lifecycle.Timing
-	rng    *xrand.Rand
-
-	epoch int
-	total int
-	dead  int
-	comps [][]churnComponent // [boundary-1][group*d + wire]
-	set   dilated.FaultSet   // reused backing, valid until the next Step
+	cfg   dilated.Config
+	clock *lifecycle.Clock
+	comps [][]lifecycle.Component // [boundary-1][group*d + wire]
+	set   dilated.FaultSet        // reused backing, valid until the next Step
 }
 
-// NewChurn validates the renewal parameters and draws the initial
-// sub-wire phases from rng. All sub-wires start alive; the population
-// drifts toward MTTR/(MTBF+MTTR) dead over the first few MTTRs.
-func NewChurn(cfg dilated.Config, mtbf, mttr float64, timing lifecycle.Timing, rng *xrand.Rand) (*Churn, error) {
+// NewChurn validates the spec's renewal fields (MTBF, MTTR, Timing,
+// RepairWindow) and draws the initial sub-wire phases from rng. The
+// population is always the sub-wires, so spec.Mode and the blast
+// overlay, which name EDN structures, are ignored. All sub-wires start
+// alive; the population drifts toward MTTR/(MTBF+MTTR) dead over the
+// first few MTTRs.
+func NewChurn(cfg dilated.Config, spec lifecycle.Spec, rng *xrand.Rand) (*Churn, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if mtbf < 1 {
-		return nil, fmt.Errorf("dilatedsim: MTBF %g must be at least 1 epoch", mtbf)
+	clock, err := lifecycle.NewClock(spec, rng)
+	if err != nil {
+		return nil, err
 	}
-	if mttr < 1 {
-		return nil, fmt.Errorf("dilatedsim: MTTR %g must be at least 1 epoch", mttr)
-	}
-	switch timing {
-	case lifecycle.Exponential, lifecycle.Deterministic:
-	default:
-		return nil, fmt.Errorf("dilatedsim: unknown timing %v", timing)
-	}
-	c := &Churn{cfg: cfg, mtbf: mtbf, mttr: mttr, timing: timing, rng: rng}
-	c.comps = make([][]churnComponent, cfg.L)
-	for bd := 1; bd <= cfg.L; bd++ {
-		row := make([]churnComponent, cfg.Ports()*cfg.D)
+	c := &Churn{cfg: cfg, clock: clock, comps: make([][]lifecycle.Component, cfg.L)}
+	for bd := range c.comps {
+		row := make([]lifecycle.Component, cfg.Ports()*cfg.D)
 		for i := range row {
-			row[i] = churnComponent{timer: lifecycle.InitialTTF(timing, mtbf, rng)}
+			row[i] = clock.Start()
 		}
-		c.comps[bd-1] = row
-		c.total += len(row)
+		c.comps[bd] = row
 	}
 	return c, nil
 }
@@ -281,40 +262,22 @@ func NewChurn(cfg dilated.Config, mtbf, mttr float64, timing lifecycle.Timing, r
 func (c *Churn) Config() dilated.Config { return c.cfg }
 
 // Epoch returns the number of Step calls so far.
-func (c *Churn) Epoch() int { return c.epoch }
+func (c *Churn) Epoch() int { return c.clock.Epoch() }
 
 // DeadFraction returns the currently-dead fraction of the sub-wires.
-func (c *Churn) DeadFraction() float64 {
-	if c.total == 0 {
-		return 0
-	}
-	return float64(c.dead) / float64(c.total)
-}
+func (c *Churn) DeadFraction() float64 { return c.clock.DeadFraction() }
 
 // Step advances one epoch and returns the fault set now in effect. The
 // returned set reuses the process's backing slice: it is valid until
 // the next Step call, which is exactly the lifetime of the
 // Compile-and-apply it feeds.
 func (c *Churn) Step() dilated.FaultSet {
-	c.epoch++
+	c.clock.Advance()
 	c.set.SubWires = c.set.SubWires[:0]
 	d := c.cfg.D
 	for bd, row := range c.comps {
 		for i := range row {
-			comp := &row[i]
-			comp.timer--
-			if comp.timer <= 0 {
-				if comp.dead {
-					comp.dead = false
-					c.dead--
-					comp.timer = lifecycle.HoldingTime(c.timing, c.mtbf, c.rng)
-				} else {
-					comp.dead = true
-					c.dead++
-					comp.timer = lifecycle.HoldingTime(c.timing, c.mttr, c.rng)
-				}
-			}
-			if comp.dead {
+			if c.clock.Tick(&row[i]) {
 				c.set.SubWires = append(c.set.SubWires, dilated.SubWireID{
 					Boundary: bd + 1, Group: i / d, Wire: i % d,
 				})

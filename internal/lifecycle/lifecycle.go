@@ -113,11 +113,8 @@ func (s Spec) validate() error {
 	default:
 		return fmt.Errorf("lifecycle: unknown mode %v", s.Mode)
 	}
-	if s.MTBF < 1 {
-		return fmt.Errorf("lifecycle: MTBF %g must be at least 1 epoch", s.MTBF)
-	}
-	if s.MTTR < 1 {
-		return fmt.Errorf("lifecycle: MTTR %g must be at least 1 epoch", s.MTTR)
+	if err := s.validateClock(); err != nil {
+		return err
 	}
 	if s.BlastRate < 0 || s.BlastRate > 1 {
 		return fmt.Errorf("lifecycle: blast rate %g out of [0,1]", s.BlastRate)
@@ -127,6 +124,22 @@ func (s Spec) validate() error {
 	}
 	if s.BlastRate > 0 && s.BlastMTTR != 0 && s.BlastMTTR < 1 {
 		return fmt.Errorf("lifecycle: blast MTTR %g must be at least 1 epoch", s.BlastMTTR)
+	}
+	return nil
+}
+
+// validateClock checks the fields a Clock runs on.
+func (s Spec) validateClock() error {
+	if s.MTBF < 1 {
+		return fmt.Errorf("lifecycle: MTBF %g must be at least 1 epoch", s.MTBF)
+	}
+	if s.MTTR < 1 {
+		return fmt.Errorf("lifecycle: MTTR %g must be at least 1 epoch", s.MTTR)
+	}
+	switch s.Timing {
+	case Exponential, Deterministic:
+	default:
+		return fmt.Errorf("lifecycle: unknown timing %v", s.Timing)
 	}
 	if s.RepairWindow < 0 {
 		return fmt.Errorf("lifecycle: repair window %d must be non-negative", s.RepairWindow)
@@ -141,27 +154,106 @@ func (s Spec) DeadFractionSteadyState() float64 {
 	return s.MTTR / (s.MTBF + s.MTTR)
 }
 
-// component is one alternating-renewal state machine: dead or alive,
-// with a countdown to the next transition.
-type component struct {
+// Component is one alternating-renewal state machine, dead or alive,
+// with a countdown to its next transition. A Clock starts and ticks it.
+type Component struct {
 	dead  bool
 	timer int32 // epochs until the next state flip, always >= 1
+}
+
+// Clock is the renewal rule every churn process in the repository
+// ticks its components through: alive for a holding time drawn around
+// MTBF, dead for one drawn around MTTR, under the spec's Timing, with
+// finished repairs held to the spec's RepairWindow boundaries. Process
+// runs one over an EDN's components and dilatedsim's churn one over a
+// dilated delta's sub-wires, so a matched lifetime comparison churns
+// both networks with identically distributed outages under the same
+// maintenance rule. The clock also keeps the population's dead census.
+// It is not safe for concurrent use.
+type Clock struct {
+	spec  Spec
+	rng   *xrand.Rand
+	epoch int
+	total int // components started
+	dead  int // currently dead components
+}
+
+// NewClock validates the spec's renewal fields (MTBF, MTTR, Timing,
+// RepairWindow) and returns a clock drawing from rng; Mode and the
+// blast fields are not its concern.
+func NewClock(spec Spec, rng *xrand.Rand) (*Clock, error) {
+	if err := spec.validateClock(); err != nil {
+		return nil, err
+	}
+	return &Clock{spec: spec, rng: rng}, nil
+}
+
+// Start returns a new live component, with its first time-to-failure
+// drawn, and counts it in the population.
+func (c *Clock) Start() Component {
+	c.total++
+	return Component{timer: initialTTF(c.spec.Timing, c.spec.MTBF, c.rng)}
+}
+
+// Advance begins the next epoch; Tick then moves every component
+// through it.
+func (c *Clock) Advance() { c.epoch++ }
+
+// Epoch returns the number of Advance calls so far.
+func (c *Clock) Epoch() int { return c.epoch }
+
+// DeadFraction returns the currently-dead fraction of the started
+// components.
+func (c *Clock) DeadFraction() float64 {
+	if c.total == 0 {
+		return 0
+	}
+	return float64(c.dead) / float64(c.total)
+}
+
+// repairOpen reports whether the current epoch is a maintenance-window
+// boundary at which finished repairs take effect.
+func (c *Clock) repairOpen() bool {
+	return c.spec.RepairWindow <= 1 || c.epoch%c.spec.RepairWindow == 0
+}
+
+// Tick advances comp one epoch and reports whether it is dead.
+func (c *Clock) Tick(comp *Component) bool {
+	comp.timer--
+	if comp.timer <= 0 {
+		if comp.dead {
+			if !c.repairOpen() {
+				// Repair clock expired mid-window: hold the component
+				// dead, re-checking at every epoch until the boundary.
+				// The MTBF draw waits for the actual repair, which is
+				// what keeps RepairWindow <= 1 on the exact RNG stream
+				// of the un-windowed process.
+				comp.timer = 1
+				return true
+			}
+			comp.dead = false
+			c.dead--
+			comp.timer = HoldingTime(c.spec.Timing, c.spec.MTBF, c.rng)
+		} else {
+			comp.dead = true
+			c.dead++
+			comp.timer = HoldingTime(c.spec.Timing, c.spec.MTTR, c.rng)
+		}
+	}
+	return comp.dead
 }
 
 // Process is an instantiated failure/repair process over one network
 // configuration. It is not safe for concurrent use; sweeps build one
 // per shard.
 type Process struct {
-	cfg  topology.Config
-	spec Spec
-	rng  *xrand.Rand
+	cfg   topology.Config
+	spec  Spec
+	rng   *xrand.Rand
+	clock *Clock // the churned components' renewal rule and census
 
-	epoch int
-	total int // churned components (blast overlay excluded)
-	dead  int // currently dead churned components
-
-	wires    [][]component // [boundary-1][wire], WireFaults/MixedFaults
-	switches [][]component // [stage-1][switch], SwitchFaults/MixedFaults
+	wires    [][]Component // [boundary-1][wire], WireFaults/MixedFaults
+	switches [][]Component // [stage-1][switch], SwitchFaults/MixedFaults
 
 	// blastUntil[stage-1][switch] is the first epoch at which a blasted
 	// switch is live again (0 = not blasted). The overlay is kept apart
@@ -183,27 +275,25 @@ func New(cfg topology.Config, spec Spec, rng *xrand.Rand) (*Process, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	p := &Process{cfg: cfg, spec: spec, rng: rng}
+	p := &Process{cfg: cfg, spec: spec, rng: rng, clock: &Clock{spec: spec, rng: rng}}
 	if spec.Mode == faults.WireFaults || spec.Mode == faults.MixedFaults {
-		p.wires = make([][]component, cfg.L)
+		p.wires = make([][]Component, cfg.L)
 		for i := 1; i <= cfg.L; i++ {
-			row := make([]component, cfg.WiresAfterStage(i))
+			row := make([]Component, cfg.WiresAfterStage(i))
 			for w := range row {
-				row[w] = component{timer: p.initialTTF()}
+				row[w] = p.clock.Start()
 			}
 			p.wires[i-1] = row
-			p.total += len(row)
 		}
 	}
 	if spec.Mode == faults.SwitchFaults || spec.Mode == faults.MixedFaults {
-		p.switches = make([][]component, cfg.L+1)
+		p.switches = make([][]Component, cfg.L+1)
 		for s := 1; s <= cfg.L+1; s++ {
-			row := make([]component, cfg.SwitchesInStage(s))
+			row := make([]Component, cfg.SwitchesInStage(s))
 			for sw := range row {
-				row[sw] = component{timer: p.initialTTF()}
+				row[sw] = p.clock.Start()
 			}
 			p.switches[s-1] = row
-			p.total += len(row)
 		}
 	}
 	if spec.BlastRate > 0 {
@@ -222,16 +312,11 @@ func (p *Process) Config() topology.Config { return p.cfg }
 func (p *Process) Spec() Spec { return p.spec }
 
 // Epoch returns the number of Step calls so far.
-func (p *Process) Epoch() int { return p.epoch }
+func (p *Process) Epoch() int { return p.clock.Epoch() }
 
 // DeadFraction returns the currently-dead fraction of the churned
 // population (the blast overlay is not part of the churn census).
-func (p *Process) DeadFraction() float64 {
-	if p.total == 0 {
-		return 0
-	}
-	return float64(p.dead) / float64(p.total)
-}
+func (p *Process) DeadFraction() float64 { return p.clock.DeadFraction() }
 
 // Step advances one epoch — every component's renewal clock ticks, and
 // a blast may arrive — and returns the fault set now in effect. The
@@ -239,12 +324,12 @@ func (p *Process) DeadFraction() float64 {
 // the next Step call, which is exactly the lifetime of the
 // Compile-and-apply it feeds.
 func (p *Process) Step() faults.Set {
-	p.epoch++
+	p.clock.Advance()
 	p.set.Wires = p.set.Wires[:0]
 	p.set.Switches = p.set.Switches[:0]
 	for b, row := range p.wires {
 		for w := range row {
-			if p.tick(&row[w]) {
+			if p.clock.Tick(&row[w]) {
 				p.set.Wires = append(p.set.Wires, faults.WireID{Boundary: b + 1, Wire: w})
 			}
 		}
@@ -254,7 +339,7 @@ func (p *Process) Step() faults.Set {
 	}
 	for s, row := range p.switches {
 		for sw := range row {
-			if p.tick(&row[sw]) {
+			if p.clock.Tick(&row[sw]) {
 				p.set.Switches = append(p.set.Switches, faults.SwitchID{Stage: s + 1, Switch: sw})
 			} else if p.blasted(s+1, sw) {
 				p.set.Switches = append(p.set.Switches, faults.SwitchID{Stage: s + 1, Switch: sw})
@@ -275,38 +360,6 @@ func (p *Process) Step() faults.Set {
 	return p.set
 }
 
-// repairOpen reports whether the current epoch is a maintenance-window
-// boundary at which finished repairs take effect.
-func (p *Process) repairOpen() bool {
-	return p.spec.RepairWindow <= 1 || p.epoch%p.spec.RepairWindow == 0
-}
-
-// tick advances one component one epoch and reports whether it is dead.
-func (p *Process) tick(c *component) bool {
-	c.timer--
-	if c.timer <= 0 {
-		if c.dead {
-			if !p.repairOpen() {
-				// Repair clock expired mid-window: hold the component
-				// dead, re-checking at every epoch until the boundary.
-				// The MTBF draw waits for the actual repair, which is
-				// what keeps RepairWindow <= 1 on the exact RNG stream
-				// of the un-windowed process.
-				c.timer = 1
-				return true
-			}
-			c.dead = false
-			p.dead--
-			c.timer = p.draw(p.spec.MTBF)
-		} else {
-			c.dead = true
-			p.dead++
-			c.timer = p.draw(p.spec.MTTR)
-		}
-	}
-	return c.dead
-}
-
 // blast kills a contiguous switch block: uniform stage, uniform center,
 // the spec's radius, repaired as a unit after a BlastMTTR-mean holding
 // time.
@@ -321,7 +374,7 @@ func (p *Process) blast() {
 	// A draw of k holds the block dead for k epochs including the
 	// arrival epoch (blasted tests >=), matching a churned component's
 	// outage length for the same draw.
-	until := int64(p.epoch) + int64(p.draw(mttr)) - 1
+	until := int64(p.clock.epoch) + int64(HoldingTime(p.spec.Timing, mttr, p.rng)) - 1
 	if w := int64(p.spec.RepairWindow); w > 1 {
 		// Batch repair: extend the outage so the block's first live
 		// epoch (until+1) lands on a maintenance-window boundary.
@@ -349,20 +402,13 @@ func (p *Process) blasted(stage, sw int) bool {
 	if p.blastUntil == nil {
 		return false
 	}
-	return p.blastUntil[stage-1][sw] >= int64(p.epoch)
-}
-
-// draw samples one holding time around mean epochs, per the spec's
-// timing. Always at least 1.
-func (p *Process) draw(mean float64) int32 {
-	return HoldingTime(p.spec.Timing, mean, p.rng)
+	return p.blastUntil[stage-1][sw] >= int64(p.clock.epoch)
 }
 
 // HoldingTime draws one holding time around mean epochs under the given
-// timing; always at least 1. It is the renewal-clock primitive shared
-// by every churn process in the repository (this package's Process over
-// EDN components, dilatedsim's sub-wire churn), so matched lifetime
-// comparisons sample their outage lengths from identical distributions.
+// timing; always at least 1. It is the draw behind every Clock
+// transition and behind a blast's outage length, so every churn process
+// in the repository samples its outages from the same distributions.
 func HoldingTime(t Timing, mean float64, rng *xrand.Rand) int32 {
 	if t == Deterministic {
 		k := math.Round(mean)
@@ -392,16 +438,11 @@ func HoldingTime(t Timing, mean float64, rng *xrand.Rand) int32 {
 	return int32(k)
 }
 
-// initialTTF draws a component's first time-to-failure.
-func (p *Process) initialTTF() int32 {
-	return InitialTTF(p.spec.Timing, p.spec.MTBF, p.rng)
-}
-
-// InitialTTF draws a component's first time-to-failure. Exponential
+// initialTTF draws a component's first time-to-failure. Exponential
 // holding times are memoryless, so the stationary draw is the plain
 // one; deterministic periods get a uniform phase in [1, MTBF] so the
 // fleet's maintenance windows are staggered instead of synchronized.
-func InitialTTF(t Timing, mtbf float64, rng *xrand.Rand) int32 {
+func initialTTF(t Timing, mtbf float64, rng *xrand.Rand) int32 {
 	if t == Deterministic {
 		period := HoldingTime(t, mtbf, rng) // the fixed alive period, clamped
 		return 1 + int32(rng.Intn(int(period)))

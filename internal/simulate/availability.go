@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"edn/internal/dilated"
-	"edn/internal/dilatedsim"
 	"edn/internal/faults"
 	"edn/internal/queuesim"
 	"edn/internal/stats"
@@ -107,26 +106,39 @@ func (r AvailabilityResult) String() string {
 		r.ReachableFraction, r.LatencyP99)
 }
 
-// AvailabilitySweep measures one AvailabilityResult per fault fraction:
-// the graceful-degradation curve of a network as components die. Each
-// shard owns one nested fault Plan — rising fractions grow one fixed
+// AvailabilityKind is the result type of a degradation sweep:
+// AvailabilityResult on an EDN fabric, DilatedAvailabilityResult on a
+// dilated one.
+type AvailabilityKind interface {
+	AvailabilityResult | DilatedAvailabilityResult
+}
+
+// AvailabilitySweep measures one point per fault fraction on f: the
+// graceful-degradation curve of a network as components die. Each
+// shard owns one nested fault plan — rising fractions grow one fixed
 // failure story per shard instead of resampling the world, and the
 // traffic stream is replayed identically at every fraction — so the
 // sweep is a paired comparison and the delivered-bandwidth curve
 // degrades monotonically up to Monte-Carlo noise. Shards are fully
-// independent runs (own network, own fault sample, own traffic source)
+// independent runs (own engine, own fault sample, own traffic source)
 // executed in parallel and merged exactly, the run-level pattern of
-// SaturationSweep; results are deterministic for a fixed (seed, shards)
-// pair. shards <= 0 selects GOMAXPROCS; src nil selects uniform iid
-// traffic at aopts.Load.
+// SaturationSweep; results are deterministic for a fixed (seed,
+// shards) pair. The traffic seeds derive from (opts.Seed, shards)
+// alone, so an EDN and its dilated counterpart swept with the same
+// Options see identical per-input injection realizations. shards 0
+// selects GOMAXPROCS; src nil selects uniform iid traffic at
+// aopts.Load. R must be f's result type (AvailabilityKind); any other
+// is an error.
 //
-// qopts picks the engine regime. Fault sets that kill output terminals
-// (SwitchFaults/MixedFaults reaching the crossbar stage) pair naturally
-// with the Drop policy: under Backpressure a packet addressed to a dead
-// terminal parks at the crossbar head forever and head-of-line blocks
-// everything behind it — a real failure mode worth measuring, but a
-// collapsed curve rather than a degradation curve.
-func AvailabilitySweep(cfg topology.Config, aopts AvailabilityOptions, src LoadPattern, qopts queuesim.Options, opts Options, shards int) ([]AvailabilityResult, error) {
+// An EDN fails the population aopts.Mode names; a dilated delta always
+// fails its sub-wires, its entire redundancy budget. The fabric's
+// queueing options pick the engine regime. Fault sets that kill output
+// terminals (SwitchFaults/MixedFaults reaching the crossbar stage)
+// pair naturally with the Drop policy: under Backpressure a packet
+// addressed to a dead terminal parks at the crossbar head forever and
+// head-of-line blocks everything behind it — a real failure mode worth
+// measuring, but a collapsed curve rather than a degradation curve.
+func AvailabilitySweep[R AvailabilityKind](f Fabric, aopts AvailabilityOptions, src LoadPattern, opts Options, shards int) ([]R, error) {
 	opts = opts.withDefaults()
 	aopts, err := aopts.withDefaults()
 	if err != nil {
@@ -139,126 +151,82 @@ func AvailabilitySweep(cfg topology.Config, aopts AvailabilityOptions, src LoadP
 	if err != nil {
 		return nil, err
 	}
-
-	plans, trafficSeeds := availabilityPlans(cfg, aopts, opts, shards)
-	results := make([]AvailabilityResult, 0, len(aopts.Fractions))
-	for _, f := range aopts.Fractions {
-		merged, err := availabilityPoint(cfg, aopts, f, src, qopts, opts, shards, plans, trafficSeeds)
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, merged)
-	}
-	return results, nil
-}
-
-// availabilityPlans draws the per-shard fault plans and traffic seeds,
-// fixed across the whole fraction axis: fraction f2 > f1 sees a
-// superset of f1's faults under an identical traffic replay. The draws
-// depend only on (opts.Seed, shards) — never on the fraction — which
-// is what lets AvailabilityPoint reconstruct a batch sweep's failure
-// stories one fraction at a time.
-func availabilityPlans(cfg topology.Config, aopts AvailabilityOptions, opts Options, shards int) ([]*faults.Plan, []uint64) {
+	// The per-shard fault plans and traffic seeds are fixed across the
+	// whole fraction axis: fraction f2 > f1 sees a superset of f1's
+	// faults under an identical traffic replay. The draws depend only
+	// on (opts.Seed, shards) — never on the fraction — which is what
+	// lets AvailabilityPoint reconstruct a batch sweep's failure
+	// stories one fraction at a time.
 	root := xrand.New(opts.Seed ^ 0xaf63bd4c8601b7df)
-	plans := make([]*faults.Plan, shards)
+	plans := make([]faultPlan, shards)
 	trafficSeeds := make([]uint64, shards)
 	for w := range plans {
-		plans[w] = faults.NewPlan(cfg, aopts.Mode, xrand.New(root.Uint64()|1))
+		plans[w] = f.net.plan(aopts.Mode, xrand.New(root.Uint64()|1))
 		trafficSeeds[w] = root.Uint64() | 1
 	}
-	return plans, trafficSeeds
+	return sweep(aopts.Fractions, func(_ int, frac float64) (R, error) {
+		return as[R](availabilityPoint(f, aopts, frac, src, opts, shards, plans, trafficSeeds))
+	})
 }
 
 // availabilityPoint measures one fault fraction over pre-drawn shard
-// plans and merges exactly; the engine-specific half of the per-point
-// degradation measurement.
-func availabilityPoint(cfg topology.Config, aopts AvailabilityOptions, f float64, src LoadPattern, qopts queuesim.Options, opts Options, shards int, plans []*faults.Plan, trafficSeeds []uint64) (AvailabilityResult, error) {
+// plans and merges exactly into f's result type.
+func availabilityPoint(f Fabric, aopts AvailabilityOptions, frac float64, src LoadPattern, opts Options, shards int, plans []faultPlan, trafficSeeds []uint64) (any, error) {
 	type partial struct {
-		res      LatencyResult
-		masks    *faults.Masks
-		expected float64
-		err      error
+		res    LatencyResult
+		census census
+		err    error
 	}
 	parts := make([]partial, shards)
 	runShards(opts.Cycles, shards, func(w, cycles int) {
 		start := time.Now()
 		p := &parts[w]
-		p.masks, p.err = faults.Compile(cfg, plans[w].At(f))
+		var m faultMasks
+		m, p.census, p.err = plans[w](frac, aopts)
 		if p.err != nil {
 			return
 		}
-		sq := qopts
-		sq.Faults = p.masks
 		sub := opts
 		sub.Cycles = cycles
 		pattern := src(aopts.Load, xrand.New(trafficSeeds[w]))
-		p.res, p.err = MeasureLatency(cfg, pattern, sq, sub)
-		if p.err == nil && aopts.WithExpected {
-			p.expected = faults.ExpectedUniformBandwidth(p.masks, aopts.Load)
-		}
+		p.res, p.err = MeasureLatency(f.withFaults(m), pattern, sub)
 		if opts.OnStage != nil {
 			opts.OnStage("shard", w, cycles, start, time.Since(start))
 		}
 	})
 
 	mergeStart := time.Now()
-	merged := AvailabilityResult{
-		Config:        cfg,
-		FaultFraction: f,
-		Mode:          aopts.Mode,
-	}
-	inputs := cfg.Inputs()
-	outputs := cfg.Outputs()
 	var acc sweepPointAccum
+	var c census
 	for w := range parts {
 		p := &parts[w]
 		if p.err != nil {
-			return AvailabilityResult{}, p.err
+			return nil, p.err
 		}
 		ran, err := acc.add(&p.res)
 		if err != nil {
-			return AvailabilityResult{}, err
+			return nil, err
 		}
-		if !ran {
-			continue
+		if ran {
+			c.add(p.census)
 		}
-		merged.DeadSwitches += float64(p.masks.DeadSwitches())
-		merged.DeadWires += float64(p.masks.DeadWires())
-		merged.ReachableFraction += float64(p.masks.ReachableOutputs()) / float64(outputs)
-		merged.LiveInputFraction += float64(p.masks.LiveInputCount()) / float64(inputs)
-		merged.ExpectedThroughput += p.expected
 	}
 	if acc.shards > 0 {
-		n := float64(acc.shards)
-		merged.DeadSwitches /= n
-		merged.DeadWires /= n
-		merged.ReachableFraction /= n
-		merged.LiveInputFraction /= n
-		merged.ExpectedThroughput /= n
+		c.mean(float64(acc.shards))
 	}
-	merged.Depth = acc.depth
-	merged.Policy = acc.policy
-	merged.Cycles = acc.cycles
-	merged.Shards = acc.shards
-	merged.Injected = acc.injected
-	merged.Refused = acc.refused
-	merged.Delivered = acc.delivered
-	merged.Dropped = acc.dropped
-	merged.Histogram = acc.histogram
-	merged.OfferedRate, merged.Throughput, merged.ThroughputPerInput, merged.AcceptedFraction = acc.rates(inputs)
-	merged.LatencyMean, merged.LatencyP50, merged.LatencyP95, merged.LatencyP99, merged.LatencyMax = acc.quantiles()
+	res := f.net.availability(frac, aopts.Mode, &acc, c)
 	if opts.OnStage != nil {
 		opts.OnStage("merge", -1, 0, mergeStart, time.Since(mergeStart))
 	}
-	return merged, nil
+	return res, nil
 }
 
-// sweepPointAccum folds per-shard measurements into the
-// engine-agnostic portion of one degradation-sweep point: the
-// shard-skip rule, metadata adoption, counter summation, exact
-// histogram merge and the derived rates/quantiles. Both availability
-// sweeps build their points through one of these, so the merge rules
-// of the paired EDN and dilated curves cannot drift apart.
+// sweepPointAccum folds per-shard measurements into the part of one
+// degradation-sweep point every fabric shares: the shard-skip rule,
+// metadata adoption, counter summation, exact histogram merge and the
+// derived rates/quantiles. Each fabric's result type takes its fields
+// from one of these (see the network implementations), so the merge
+// rules of a paired EDN and dilated curve cannot drift apart.
 type sweepPointAccum struct {
 	depth  int
 	policy queuesim.Policy
@@ -320,9 +288,10 @@ func (a *sweepPointAccum) quantiles() (mean, p50, p95, p99, maxL float64) {
 }
 
 // DilatedAvailabilityResult is one point of a dilated degradation
-// curve: the counterpart's measured bandwidth, reachability and latency
-// tail at one sub-wire fault fraction, with the same stat semantics as
-// AvailabilityResult so the CLIs print the two curves side by side.
+// curve (AvailabilitySweep on a Dilated fabric): the counterpart's
+// measured bandwidth, reachability and latency tail at one sub-wire
+// fault fraction, with the same stat semantics as AvailabilityResult so
+// the CLIs print the two curves side by side.
 type DilatedAvailabilityResult struct {
 	Dilated       dilated.Config
 	FaultFraction float64
@@ -366,138 +335,4 @@ func (r DilatedAvailabilityResult) String() string {
 	return fmt.Sprintf("%v f=%.3f: thr=%.2f/cycle (%.3f/input) reach=%.3f p99=%.0f",
 		r.Dilated, r.FaultFraction, r.Throughput, r.ThroughputPerInput,
 		r.ReachableFraction, r.LatencyP99)
-}
-
-// DilatedAvailabilitySweep measures the graceful-degradation curve of a
-// dilated delta as its sub-wires die — the measured counterpart of the
-// analytic curve cmd/edn-faults previously plotted from
-// dilated.ExpectedDegraded. Each shard owns one nested dilatedsim.Plan
-// (rising fractions grow one fixed failure story) under an identical
-// traffic replay, the paired-comparison structure of AvailabilitySweep;
-// and the per-shard traffic seeds derive from (opts.Seed, shards)
-// exactly as there, so running both sweeps with the same Options drives
-// the EDN and its counterpart with identical per-input injection
-// realizations. aopts.Mode is ignored: the dilated fault population is
-// always the sub-wires, the network's entire redundancy budget.
-func DilatedAvailabilitySweep(dcfg dilated.Config, aopts AvailabilityOptions, src LoadPattern, dopts dilatedsim.Options, opts Options, shards int) ([]DilatedAvailabilityResult, error) {
-	opts = opts.withDefaults()
-	aopts, err := aopts.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	if src == nil {
-		src = UniformLoad
-	}
-	shards, err = normalizeShards(shards, opts.Cycles)
-	if err != nil {
-		return nil, err
-	}
-
-	plans, trafficSeeds := dilatedAvailabilityPlans(dcfg, opts, shards)
-	results := make([]DilatedAvailabilityResult, 0, len(aopts.Fractions))
-	for _, f := range aopts.Fractions {
-		merged, err := dilatedAvailabilityPoint(dcfg, aopts, f, src, dopts, opts, shards, plans, trafficSeeds)
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, merged)
-	}
-	return results, nil
-}
-
-// dilatedAvailabilityPlans draws the per-shard fault plans and traffic
-// seeds, fixed across the whole fraction axis. The derivation (root
-// constant, draw order) matches availabilityPlans draw for draw so the
-// traffic replays pair up between a network and its counterpart.
-func dilatedAvailabilityPlans(dcfg dilated.Config, opts Options, shards int) ([]*dilatedsim.Plan, []uint64) {
-	root := xrand.New(opts.Seed ^ 0xaf63bd4c8601b7df)
-	plans := make([]*dilatedsim.Plan, shards)
-	trafficSeeds := make([]uint64, shards)
-	for w := range plans {
-		plans[w] = dilatedsim.NewPlan(dcfg, xrand.New(root.Uint64()|1))
-		trafficSeeds[w] = root.Uint64() | 1
-	}
-	return plans, trafficSeeds
-}
-
-// dilatedAvailabilityPoint measures one sub-wire fault fraction over
-// pre-drawn shard plans, the dilated twin of availabilityPoint.
-func dilatedAvailabilityPoint(dcfg dilated.Config, aopts AvailabilityOptions, f float64, src LoadPattern, dopts dilatedsim.Options, opts Options, shards int, plans []*dilatedsim.Plan, trafficSeeds []uint64) (DilatedAvailabilityResult, error) {
-	ports := dcfg.Ports()
-	type partial struct {
-		res      LatencyResult
-		masks    *dilatedsim.Masks
-		expected float64
-		err      error
-	}
-	parts := make([]partial, shards)
-	runShards(opts.Cycles, shards, func(w, cycles int) {
-		start := time.Now()
-		p := &parts[w]
-		set := plans[w].At(f)
-		p.masks, p.err = dilatedsim.Compile(dcfg, set)
-		if p.err != nil {
-			return
-		}
-		sd := dopts
-		sd.Faults = p.masks
-		sub := opts
-		sub.Cycles = cycles
-		pattern := src(aopts.Load, xrand.New(trafficSeeds[w]))
-		p.res, p.err = MeasureDilatedLatency(dcfg, pattern, sd, sub)
-		if p.err == nil && aopts.WithExpected {
-			var deg *dilated.Degraded
-			deg, p.err = dcfg.CompileFaults(set)
-			if p.err == nil {
-				p.expected = deg.Bandwidth(aopts.Load)
-			}
-		}
-		if opts.OnStage != nil {
-			opts.OnStage("shard", w, cycles, start, time.Since(start))
-		}
-	})
-
-	mergeStart := time.Now()
-	merged := DilatedAvailabilityResult{
-		Dilated:       dcfg,
-		FaultFraction: f,
-	}
-	var acc sweepPointAccum
-	for w := range parts {
-		p := &parts[w]
-		if p.err != nil {
-			return DilatedAvailabilityResult{}, p.err
-		}
-		ran, err := acc.add(&p.res)
-		if err != nil {
-			return DilatedAvailabilityResult{}, err
-		}
-		if !ran {
-			continue
-		}
-		merged.DeadSubWires += float64(p.masks.DeadSubWires())
-		merged.ReachableFraction += float64(p.masks.ReachableOutputs()) / float64(ports)
-		merged.ExpectedThroughput += p.expected
-	}
-	if acc.shards > 0 {
-		n := float64(acc.shards)
-		merged.DeadSubWires /= n
-		merged.ReachableFraction /= n
-		merged.ExpectedThroughput /= n
-	}
-	merged.Depth = acc.depth
-	merged.Policy = acc.policy
-	merged.Cycles = acc.cycles
-	merged.Shards = acc.shards
-	merged.Injected = acc.injected
-	merged.Refused = acc.refused
-	merged.Delivered = acc.delivered
-	merged.Dropped = acc.dropped
-	merged.Histogram = acc.histogram
-	merged.OfferedRate, merged.Throughput, merged.ThroughputPerInput, merged.AcceptedFraction = acc.rates(ports)
-	merged.LatencyMean, merged.LatencyP50, merged.LatencyP95, merged.LatencyP99, merged.LatencyMax = acc.quantiles()
-	if opts.OnStage != nil {
-		opts.OnStage("merge", -1, 0, mergeStart, time.Since(mergeStart))
-	}
-	return merged, nil
 }

@@ -2,13 +2,10 @@ package simulate
 
 import (
 	"fmt"
-	"sync"
 
 	"edn/internal/anatomy"
 	"edn/internal/closedloop"
 	"edn/internal/dilated"
-	"edn/internal/dilatedsim"
-	"edn/internal/faults"
 	"edn/internal/lifecycle"
 	"edn/internal/probe"
 	"edn/internal/queuesim"
@@ -124,19 +121,31 @@ func ledgerAdd(into *closedloop.Ledger, d closedloop.Ledger) {
 	into.RetryWaiting += d.RetryWaiting
 }
 
-// runClosedLoopShard builds a fresh loop over fresh fabrics, runs
+// loopEngines builds the two engine instances of a closed loop over f:
+// requests forward, replies back through the Outputs/Inputs
+// concentrator.
+func (f Fabric) loopEngines(opts Options) (fwd, rev engine, err error) {
+	if fwd, err = f.engine(opts); err != nil {
+		return engine{}, engine{}, err
+	}
+	rev, err = f.engine(opts)
+	return fwd, rev, err
+}
+
+// runClosedLoopShard builds a fresh loop over fresh engines of f, runs
 // r.opts.Warmup + r.opts.Cycles cycles and returns the
 // measurement-window deltas of the first r.share measured cycles,
 // asserting conservation and calling r.atShare the moment they are
 // taken. The probe and the anatomy collector in r.opts attach at the
 // measurement boundary and keep running to the end (see runPoint).
-func runClosedLoopShard(build func() (fwd, rev closedloop.Engine, err error), inputs, outputs int, lo closedloop.Options, r shardRun) closedLoopPartial {
+func runClosedLoopShard(f Fabric, lo closedloop.Options, r shardRun) closedLoopPartial {
 	run, share := r.opts, r.share
+	inputs, outputs := f.net.ports()
 	r.building.Lock()
-	fwd, rev, err := build()
+	fwd, rev, err := f.loopEngines(run)
 	var loop *closedloop.Loop
 	if err == nil {
-		loop, err = closedloop.New(fwd, rev, inputs, outputs, lo)
+		loop, err = closedloop.New(fwd.net, rev.net, inputs, outputs, lo)
 	}
 	r.building.Unlock()
 	if err != nil {
@@ -192,45 +201,25 @@ func runClosedLoopShard(build func() (fwd, rev closedloop.Engine, err error), in
 	return part
 }
 
-// sweepClosedLoop is the engine-agnostic rate sweep: one merged result
-// per demand rate, each rate's cycle budget split across shards with
-// seeds derived exactly as sweepLoads derives them — same Options mean
-// same shard seeds, which is what keeps an EDN sweep and its dilated
-// counterpart replay-matched at the request level.
-func sweepClosedLoop(inputs, outputs int, rates []float64, lo closedloop.Options, opts Options, shards int, build func() (fwd, rev closedloop.Engine, err error)) ([]ClosedLoopResult, error) {
-	opts = opts.withDefaults()
-	shards, err := normalizeShards(shards, opts.Cycles)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]ClosedLoopResult, 0, len(rates))
-	for i, rate := range rates {
-		res, err := sweepClosedLoopPoint(inputs, outputs, rate, i, lo, opts, shards, build)
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, res)
-	}
-	return results, nil
-}
-
-// sweepClosedLoopPoint measures one demand-rate point — point `index`
-// on the sweep's rate axis — with the seed derivation the batch sweep
-// has always used. When opts.Probe or opts.Anatomy is set, shard 0
+// sweepClosedLoopPoint measures one demand-rate point on f — point
+// `index` on the sweep's rate axis — with shard seeds derived from
+// (opts.Seed, index) exactly as a load sweep's point derives them, so
+// the same Options give an EDN sweep and its dilated counterpart the
+// same demand streams. When opts.Probe or opts.Anatomy is set, shard 0
 // doubles as the point's observation run (see runPoint): it runs the
 // full cycle budget under seeds[0] with the observers attached from the
 // measurement boundary, contributes its measured partial from its share
 // boundary, and fills Observed, so the merge stays bit-identical to an
 // unobserved sweep. Callers must have normalized shards and applied
 // opts.withDefaults.
-func sweepClosedLoopPoint(inputs, outputs int, rate float64, index int, lo closedloop.Options, opts Options, shards int, build func() (fwd, rev closedloop.Engine, err error)) (ClosedLoopResult, error) {
+func sweepClosedLoopPoint(f Fabric, rate float64, index int, lo closedloop.Options, opts Options, shards int) (ClosedLoopResult, error) {
 	parts := make([]closedLoopPartial, shards)
 	res := ClosedLoopResult{Rate: rate, Shards: shards}
 	err := runPoint(opts, index, shards, func(w int, r shardRun) {
 		slo := lo
 		slo.Rate = rate
 		slo.Seed = r.seed
-		parts[w] = runClosedLoopShard(build, inputs, outputs, slo, r)
+		parts[w] = runClosedLoopShard(f, slo, r)
 	}, func() error {
 		for w := range parts {
 			p := &parts[w]
@@ -249,6 +238,7 @@ func sweepClosedLoopPoint(inputs, outputs int, rate float64, index int, lo close
 				return err
 			}
 		}
+		inputs, _ := f.net.ports()
 		res.fill(inputs)
 		res.Observed = parts[0].rep
 		return nil
@@ -286,119 +276,47 @@ func (r *ClosedLoopResult) fill(inputs int) {
 }
 
 // MeasureClosedLoop measures the closed-loop request/response workload
-// over an EDN at each demand rate: two fabric instances (requests
-// forward, replies back through the Outputs/Inputs concentrator), W
-// outstanding requests per source, timeout/retry per lo. Results carry
-// goodput vs offered demand, the end-to-end latency histogram, and the
-// full retry/timeout/give-up ledger. lo.Rate and lo.Seed are overridden
-// per rate point and shard. shards <= 0 selects GOMAXPROCS; results are
-// deterministic for a fixed (seed, shards) pair.
-func MeasureClosedLoop(cfg topology.Config, rates []float64, lo closedloop.Options, qopts queuesim.Options, opts Options, shards int) ([]ClosedLoopResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	results, err := sweepClosedLoop(cfg.Inputs(), cfg.Outputs(), rates, lo, opts, shards, closedLoopBuild(cfg, qopts, opts))
-	if err != nil {
-		return nil, err
-	}
-	for i := range results {
-		results[i].Config = cfg
-		results[i].Window = lo.Window
-		results[i].Depth = qopts.Depth
-		results[i].Policy = qopts.Policy
-		results[i].Retry = lo.Retry
-	}
-	return results, nil
+// over f at each demand rate: two engine instances (requests forward,
+// replies back through the Outputs/Inputs concentrator, the identity on
+// a dilated delta), W outstanding requests per source, timeout/retry
+// per lo. Results carry goodput vs offered demand, the end-to-end
+// latency histogram, and the full retry/timeout/give-up ledger. lo.Rate
+// and lo.Seed are overridden per rate point and shard. shards 0 selects
+// GOMAXPROCS; results are deterministic for a fixed (seed, shards)
+// pair, and the same Options draw bit-identical demand on every
+// fabric.
+func MeasureClosedLoop(f Fabric, rates []float64, lo closedloop.Options, opts Options, shards int) ([]ClosedLoopResult, error) {
+	return sweep(rates, func(i int, rate float64) (ClosedLoopResult, error) {
+		return ClosedLoopPoint(f, rate, i, lo, opts, shards)
+	})
 }
 
-// MeasureDilatedClosedLoop is MeasureClosedLoop over a dilated delta
-// (square, so the concentrator is the identity). Same Options derive
-// the same shard seeds as the EDN sweep, so the two sides of a
-// counterpart comparison draw bit-identical demand.
-func MeasureDilatedClosedLoop(dcfg dilated.Config, rates []float64, lo closedloop.Options, dopts dilatedsim.Options, opts Options, shards int) ([]ClosedLoopResult, error) {
-	if err := dcfg.Validate(); err != nil {
-		return nil, err
+// MeasureClosedLoopPair runs the replay-matched comparison of two
+// fabrics, normally an EDN and its dilated counterpart: both sweeps
+// under the same Options, then a hard assertion that every rate point
+// offered a bit-equal demand count on both sides — the demand streams
+// are seed-derived, so anything else means the replay matching broke
+// and the comparison is invalid. The fabrics must have equal input
+// counts (dilated.Counterpart arranges this).
+func MeasureClosedLoopPair(a, b Fabric, rates []float64, lo closedloop.Options, opts Options, shards int) (aRes, bRes []ClosedLoopResult, err error) {
+	ai, _ := a.net.ports()
+	bi, _ := b.net.ports()
+	if ai != bi {
+		return nil, nil, fmt.Errorf("simulate: closed-loop pair needs matching source counts, %v has %d inputs, %v has %d", a, ai, b, bi)
 	}
-	results, err := sweepClosedLoop(dcfg.Ports(), dcfg.Ports(), rates, lo, opts, shards, dilatedClosedLoopBuild(dcfg, dopts, opts))
-	if err != nil {
-		return nil, err
-	}
-	for i := range results {
-		results[i].Dilated = dcfg
-		results[i].Window = lo.Window
-		results[i].Depth = dopts.Depth
-		results[i].Policy = dopts.Policy
-		results[i].Retry = lo.Retry
-	}
-	return results, nil
-}
-
-// closedLoopBuild returns the per-shard fabric constructor of an EDN
-// closed-loop run: two fresh queuesim instances per shard (forward and
-// return), with the arbiter-factory default applied once. The sweeps
-// and the per-point entry points share it.
-func closedLoopBuild(cfg topology.Config, qopts queuesim.Options, opts Options) func() (closedloop.Engine, closedloop.Engine, error) {
-	if qopts.Factory == nil {
-		qopts.Factory = opts.Factory
-	}
-	return func() (closedloop.Engine, closedloop.Engine, error) {
-		fwd, err := queuesim.New(cfg, qopts)
-		if err != nil {
-			return nil, nil, err
-		}
-		rev, err := queuesim.New(cfg, qopts)
-		if err != nil {
-			return nil, nil, err
-		}
-		return fwd, rev, nil
-	}
-}
-
-// dilatedClosedLoopBuild is closedLoopBuild for the dilated engine.
-func dilatedClosedLoopBuild(dcfg dilated.Config, dopts dilatedsim.Options, opts Options) func() (closedloop.Engine, closedloop.Engine, error) {
-	if dopts.Factory == nil {
-		dopts.Factory = opts.Factory
-	}
-	return func() (closedloop.Engine, closedloop.Engine, error) {
-		fwd, err := dilatedsim.New(dcfg, dopts)
-		if err != nil {
-			return nil, nil, err
-		}
-		rev, err := dilatedsim.New(dcfg, dopts)
-		if err != nil {
-			return nil, nil, err
-		}
-		return fwd, rev, nil
-	}
-}
-
-// MeasureClosedLoopPair runs the replay-matched EDN vs dilated
-// comparison: both sweeps under the same Options, then a hard assertion
-// that every rate point offered a bit-equal demand count on both sides
-// — the demand streams are seed-derived, so anything else means the
-// replay matching broke and the comparison is invalid. The dilated side
-// must have as many ports as the EDN has inputs (dilated.Counterpart
-// arranges this).
-func MeasureClosedLoopPair(cfg topology.Config, dcfg dilated.Config, rates []float64, lo closedloop.Options, qopts queuesim.Options, dopts dilatedsim.Options, opts Options, shards int) (ednRes, dilRes []ClosedLoopResult, err error) {
-	if cfg.Inputs() != dcfg.Ports() {
-		return nil, nil, fmt.Errorf("simulate: closed-loop pair needs matching source counts, EDN %v has %d inputs, %v has %d ports",
-			cfg, cfg.Inputs(), dcfg, dcfg.Ports())
-	}
-	ednRes, err = MeasureClosedLoop(cfg, rates, lo, qopts, opts, shards)
-	if err != nil {
+	if aRes, err = MeasureClosedLoop(a, rates, lo, opts, shards); err != nil {
 		return nil, nil, err
 	}
-	dilRes, err = MeasureDilatedClosedLoop(dcfg, rates, lo, dopts, opts, shards)
-	if err != nil {
+	if bRes, err = MeasureClosedLoop(b, rates, lo, opts, shards); err != nil {
 		return nil, nil, err
 	}
-	for i := range ednRes {
-		if eo, do := ednRes[i].Ledger.Offered, dilRes[i].Ledger.Offered; eo != do {
-			return nil, nil, fmt.Errorf("simulate: closed-loop pair replay mismatch at rate %.3f: EDN offered %d, dilated %d",
-				ednRes[i].Rate, eo, do)
+	for i := range aRes {
+		if ao, bo := aRes[i].Ledger.Offered, bRes[i].Ledger.Offered; ao != bo {
+			return nil, nil, fmt.Errorf("simulate: closed-loop pair replay mismatch at rate %.3f: %v offered %d, %v %d",
+				aRes[i].Rate, a, ao, b, bo)
 		}
 	}
-	return ednRes, dilRes, nil
+	return aRes, bRes, nil
 }
 
 // ClosedLoopLifetimeResult is the availability-over-time view of the
@@ -472,16 +390,13 @@ type closedLoopLifetimePartial struct {
 	err     error
 }
 
-// closedLoopStep advances a shard's fault state one epoch: churn both
-// fabrics, refresh the avoidance list from the forward fabric's
-// reachability, and report the epoch's reachable/dead fractions.
-type closedLoopStep func(loop *closedloop.Loop) (reachable, deadFrac float64, err error)
-
-// runClosedLoopLifetimeShard is the per-shard epoch loop both
-// closed-loop lifetime sweeps share: fault-free warmup, then Epochs
-// iterations of (step, run EpochCycles cycles, record), with the full
-// conservation invariant asserted at every epoch boundary.
-func runClosedLoopLifetimeShard(build func() (fwd, rev closedloop.Engine, err error), inputs, outputs int, lopts LifetimeOptions, lo closedloop.Options, warmup int, pr *probe.Probe, step closedLoopStep) closedLoopLifetimePartial {
+// runClosedLoopLifetimeShard simulates one closed-loop lifetime of f:
+// both engines churn under independent replicas of lopts.Spec drawn
+// from procSeed, the sources' avoidance list follows the forward
+// engine's reachable outputs, and after a fault-free warmup every epoch
+// swaps the masks in, runs EpochCycles cycles and records, with the
+// full conservation invariant asserted at every epoch boundary.
+func runClosedLoopLifetimeShard(f Fabric, lopts LifetimeOptions, lo closedloop.Options, opts Options, pr *probe.Probe, procSeed uint64) closedLoopLifetimePartial {
 	p := closedLoopLifetimePartial{
 		goodput:   stats.NewTimeSeries(lopts.Epochs),
 		sla:       stats.NewTimeSeries(lopts.Epochs),
@@ -491,17 +406,27 @@ func runClosedLoopLifetimeShard(build func() (fwd, rev closedloop.Engine, err er
 		reachable: stats.NewTimeSeries(lopts.Epochs),
 		deadFrac:  stats.NewTimeSeries(lopts.Epochs),
 	}
-	fwd, rev, err := build()
+	procRoot := xrand.New(procSeed)
+	fwdChurn, err := f.net.churn(lopts.Spec, procRoot.Split())
+	if err != nil {
+		return closedLoopLifetimePartial{err: err}
+	}
+	revChurn, err := f.net.churn(lopts.Spec, procRoot.Split())
+	if err != nil {
+		return closedLoopLifetimePartial{err: err}
+	}
+	inputs, outputs := f.net.ports()
+	fwd, rev, err := f.loopEngines(opts)
+	var loop *closedloop.Loop
+	if err == nil {
+		loop, err = closedloop.New(fwd.net, rev.net, inputs, outputs, lo)
+	}
 	if err != nil {
 		p.err = err
 		return p
 	}
-	loop, err := closedloop.New(fwd, rev, inputs, outputs, lo)
-	if err != nil {
-		p.err = err
-		return p
-	}
-	for c := 0; c < warmup; c++ {
+	live := make([]bool, outputs)
+	for c := 0; c < opts.Warmup; c++ {
 		if _, p.err = loop.Cycle(); p.err != nil {
 			return p
 		}
@@ -514,7 +439,22 @@ func runClosedLoopLifetimeShard(build func() (fwd, rev closedloop.Engine, err er
 
 	perEpoch := float64(lopts.EpochCycles * inputs)
 	for e := 0; e < lopts.Epochs; e++ {
-		reachable, deadFrac, err := step(loop)
+		fwdMasks, err := fwdChurn.step()
+		var revMasks faultMasks
+		if err == nil {
+			revMasks, err = revChurn.step()
+		}
+		if err == nil {
+			err = fwd.setFaults(fwdMasks)
+		}
+		if err == nil {
+			err = rev.setFaults(revMasks)
+		}
+		reach := 0
+		if err == nil {
+			reach = fwdMasks.ReachableOutputsInto(live)
+			err = loop.SetLiveOutputs(live)
+		}
 		if err != nil {
 			p.err = err
 			return p
@@ -543,8 +483,8 @@ func runClosedLoopLifetimeShard(build func() (fwd, rev closedloop.Engine, err er
 		}
 		p.retries.Add(e, float64(after.Retries-before.Retries)/perEpoch)
 		p.timeouts.Add(e, float64(after.Timeouts-before.Timeouts)/perEpoch)
-		p.reachable.Add(e, reachable)
-		p.deadFrac.Add(e, deadFrac)
+		p.reachable.Add(e, float64(reach)/float64(outputs))
+		p.deadFrac.Add(e, fwdChurn.DeadFraction())
 	}
 	p.led = ledgerDelta(loop.Ledger(), warmLed)
 	p.credit = loop.SLACredit() - warmSLA
@@ -555,28 +495,9 @@ func runClosedLoopLifetimeShard(build func() (fwd, rev closedloop.Engine, err er
 	return p
 }
 
-// runClosedLoopLifetime fans a closed-loop lifetime across shards —
-// seeds derived exactly as runLifetimeShards derives them, so the EDN
-// and dilated sweeps stay replay-matched — and merges series, ledger
-// and aggregates.
-func runClosedLoopLifetime(inputs, outputs int, lopts LifetimeOptions, lo closedloop.Options, opts Options, shards int, shard func(w int, procSeed, trafficSeed uint64) closedLoopLifetimePartial) (ClosedLoopLifetimeResult, error) {
-	root := xrand.New(opts.Seed ^ 0x5bf0_3635_d1c2_a94f)
-	type shardSeed struct{ proc, traffic uint64 }
-	seeds := make([]shardSeed, shards)
-	for w := range seeds {
-		seeds[w] = shardSeed{proc: root.Uint64() | 1, traffic: root.Uint64() | 1}
-	}
-	parts := make([]closedLoopLifetimePartial, shards)
-	var wg sync.WaitGroup
-	for w := 0; w < shards; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			parts[w] = shard(w, seeds[w].proc, seeds[w].traffic)
-		}(w)
-	}
-	wg.Wait()
-
+// mergeClosedLoopLifetimes merges the shard lifetimes' series, ledgers
+// and probe reports exactly and derives the aggregates.
+func mergeClosedLoopLifetimes(lopts LifetimeOptions, shards int, parts []closedLoopLifetimePartial) (ClosedLoopLifetimeResult, error) {
 	res := ClosedLoopLifetimeResult{
 		Rate:          lopts.Load,
 		Epochs:        lopts.Epochs,
@@ -632,191 +553,47 @@ func runClosedLoopLifetime(inputs, outputs int, lopts LifetimeOptions, lo closed
 	return res, nil
 }
 
-// closedLoopLifetimeDefaults validates the shared knobs. The demand
-// rate comes from lopts.Load and must be a probability.
-func closedLoopLifetimeDefaults(lopts LifetimeOptions) (LifetimeOptions, error) {
-	if lopts.Epochs <= 0 {
-		return lopts, fmt.Errorf("simulate: closed-loop lifetime needs a positive epoch count")
-	}
-	if lopts.EpochCycles <= 0 {
-		lopts.EpochCycles = 200
-	}
-	if lopts.Load <= 0 {
-		lopts.Load = 0.5
-	}
-	if lopts.Load > 1 {
-		return lopts, fmt.Errorf("simulate: closed-loop demand rate %g must be a probability", lopts.Load)
-	}
-	return lopts, nil
-}
-
-// ClosedLoopLifetimeSweep runs the closed-loop workload over an EDN's
-// whole service life: both fabrics (requests and replies) churn under
-// independent replicas of lopts.Spec, the running engines are re-masked
-// in place at every epoch boundary, the sources' avoidance list follows
-// the forward fabric's reachable-output set, and every epoch records
-// goodput, SLA attainment, tail latency and retry pressure. The
-// request-ledger conservation invariant is asserted at every epoch of
-// every shard. lopts.Load is the per-source demand probability;
-// lopts.Threshold is unused here (the SLA curve in lo plays that role).
-func ClosedLoopLifetimeSweep(cfg topology.Config, lopts LifetimeOptions, lo closedloop.Options, qopts queuesim.Options, opts Options, shards int) (ClosedLoopLifetimeResult, error) {
-	if err := cfg.Validate(); err != nil {
+// ClosedLoopLifetimeSweep runs the closed-loop workload over f's whole
+// service life: both engines (requests and replies) churn under
+// independent replicas of lopts.Spec (see LifetimeSweep for what each
+// fabric churns), the running engines are re-masked in place at every
+// epoch boundary, the sources' avoidance list follows the forward
+// engine's reachable-output set, and every epoch records goodput, SLA
+// attainment, tail latency and retry pressure. The request-ledger
+// conservation invariant is asserted at every epoch of every shard.
+// lopts.Load is the per-source demand probability (default 0.5);
+// lopts.Threshold is unused here (the SLA curve in lo plays that
+// role). The same Options derive the same shard seeds on every fabric,
+// so the two sides of a counterpart comparison face identically
+// distributed outages under bit-identical demand.
+func ClosedLoopLifetimeSweep(f Fabric, lopts LifetimeOptions, lo closedloop.Options, opts Options, shards int) (ClosedLoopLifetimeResult, error) {
+	if err := f.net.validate(); err != nil {
 		return ClosedLoopLifetimeResult{}, err
 	}
 	opts = opts.withDefaults()
-	lopts, err := closedLoopLifetimeDefaults(lopts)
+	lopts, err := lopts.withDefaults(f, 0.5)
 	if err != nil {
 		return ClosedLoopLifetimeResult{}, err
-	}
-	if qopts.Factory == nil {
-		qopts.Factory = opts.Factory
 	}
 	shards, err = normalizeShards(shards, 0)
 	if err != nil {
 		return ClosedLoopLifetimeResult{}, err
 	}
-	qopts.Faults = nil // the lifetime starts healthy; epochs swap masks in
-
-	res, err := runClosedLoopLifetime(cfg.Inputs(), cfg.Outputs(), lopts, lo, opts, shards, func(w int, procSeed, trafficSeed uint64) closedLoopLifetimePartial {
-		procRoot := xrand.New(procSeed)
-		fwdProc, err := lifecycle.New(cfg, lopts.Spec, procRoot.Split())
-		if err != nil {
-			return closedLoopLifetimePartial{err: err}
-		}
-		revProc, err := lifecycle.New(cfg, lopts.Spec, procRoot.Split())
-		if err != nil {
-			return closedLoopLifetimePartial{err: err}
-		}
-		var fwdNet, revNet *queuesim.Network
-		build := func() (closedloop.Engine, closedloop.Engine, error) {
-			if fwdNet, err = queuesim.New(cfg, qopts); err != nil {
-				return nil, nil, err
-			}
-			if revNet, err = queuesim.New(cfg, qopts); err != nil {
-				return nil, nil, err
-			}
-			return fwdNet, revNet, nil
-		}
-		live := make([]bool, cfg.Outputs())
-		step := func(loop *closedloop.Loop) (float64, float64, error) {
-			fwdMasks, err := faults.Compile(cfg, fwdProc.Step())
-			if err != nil {
-				return 0, 0, err
-			}
-			revMasks, err := faults.Compile(cfg, revProc.Step())
-			if err != nil {
-				return 0, 0, err
-			}
-			if err := fwdNet.UpdateFaults(fwdMasks); err != nil {
-				return 0, 0, err
-			}
-			if err := revNet.UpdateFaults(revMasks); err != nil {
-				return 0, 0, err
-			}
-			reach := fwdMasks.ReachableOutputsInto(live)
-			if err := loop.SetLiveOutputs(live); err != nil {
-				return 0, 0, err
-			}
-			return float64(reach) / float64(cfg.Outputs()), fwdProc.DeadFraction(), nil
-		}
+	parts := lifetimeShards(opts, shards, func(w int, procSeed, trafficSeed uint64) closedLoopLifetimePartial {
 		slo := lo
 		slo.Rate = lopts.Load
 		slo.Seed = trafficSeed
-		return runClosedLoopLifetimeShard(build, cfg.Inputs(), cfg.Outputs(), lopts, slo, opts.Warmup, lifetimeProbe(opts.Probe, lopts, w), step)
+		return runClosedLoopLifetimeShard(f.withFaults(nil), lopts, slo, opts, lifetimeProbe(opts.Probe, lopts, w), procSeed)
 	})
+	res, err := mergeClosedLoopLifetimes(lopts, shards, parts)
 	if err != nil {
 		return ClosedLoopLifetimeResult{}, err
 	}
-	res.Config = cfg
+	f.net.label(&res.Config, &res.Dilated)
 	res.Spec = lopts.Spec
 	res.Window = lo.Window
-	res.Depth = qopts.Depth
-	res.Policy = qopts.Policy
-	res.Retry = lo.Retry
-	return res, nil
-}
-
-// DilatedClosedLoopLifetimeSweep is ClosedLoopLifetimeSweep over a
-// dilated delta under sub-wire churn (both fabrics churned by
-// independent renewal processes with lopts.Spec's MTBF/MTTR/Timing, as
-// in DilatedLifetimeSweep the population is always the sub-wires). Same
-// Options derive the same shard seeds as the EDN sweep, so the two
-// sides of a counterpart comparison face identically distributed
-// outages under bit-identical demand.
-func DilatedClosedLoopLifetimeSweep(dcfg dilated.Config, lopts LifetimeOptions, lo closedloop.Options, dopts dilatedsim.Options, opts Options, shards int) (ClosedLoopLifetimeResult, error) {
-	if err := dcfg.Validate(); err != nil {
-		return ClosedLoopLifetimeResult{}, err
-	}
-	opts = opts.withDefaults()
-	lopts, err := closedLoopLifetimeDefaults(lopts)
-	if err != nil {
-		return ClosedLoopLifetimeResult{}, err
-	}
-	if dopts.Factory == nil {
-		dopts.Factory = opts.Factory
-	}
-	shards, err = normalizeShards(shards, 0)
-	if err != nil {
-		return ClosedLoopLifetimeResult{}, err
-	}
-	dopts.Faults = nil
-	ports := dcfg.Ports()
-
-	res, err := runClosedLoopLifetime(ports, ports, lopts, lo, opts, shards, func(w int, procSeed, trafficSeed uint64) closedLoopLifetimePartial {
-		procRoot := xrand.New(procSeed)
-		fwdChurn, err := dilatedsim.NewChurn(dcfg, lopts.Spec.MTBF, lopts.Spec.MTTR, lopts.Spec.Timing, procRoot.Split())
-		if err != nil {
-			return closedLoopLifetimePartial{err: err}
-		}
-		revChurn, err := dilatedsim.NewChurn(dcfg, lopts.Spec.MTBF, lopts.Spec.MTTR, lopts.Spec.Timing, procRoot.Split())
-		if err != nil {
-			return closedLoopLifetimePartial{err: err}
-		}
-		var fwdNet, revNet *dilatedsim.Network
-		build := func() (closedloop.Engine, closedloop.Engine, error) {
-			if fwdNet, err = dilatedsim.New(dcfg, dopts); err != nil {
-				return nil, nil, err
-			}
-			if revNet, err = dilatedsim.New(dcfg, dopts); err != nil {
-				return nil, nil, err
-			}
-			return fwdNet, revNet, nil
-		}
-		live := make([]bool, ports)
-		step := func(loop *closedloop.Loop) (float64, float64, error) {
-			fwdMasks, err := dilatedsim.Compile(dcfg, fwdChurn.Step())
-			if err != nil {
-				return 0, 0, err
-			}
-			revMasks, err := dilatedsim.Compile(dcfg, revChurn.Step())
-			if err != nil {
-				return 0, 0, err
-			}
-			if err := fwdNet.UpdateFaults(fwdMasks); err != nil {
-				return 0, 0, err
-			}
-			if err := revNet.UpdateFaults(revMasks); err != nil {
-				return 0, 0, err
-			}
-			reach := fwdMasks.ReachableOutputsInto(live)
-			if err := loop.SetLiveOutputs(live); err != nil {
-				return 0, 0, err
-			}
-			return float64(reach) / float64(ports), fwdChurn.DeadFraction(), nil
-		}
-		slo := lo
-		slo.Rate = lopts.Load
-		slo.Seed = trafficSeed
-		return runClosedLoopLifetimeShard(build, ports, ports, lopts, slo, opts.Warmup, lifetimeProbe(opts.Probe, lopts, w), step)
-	})
-	if err != nil {
-		return ClosedLoopLifetimeResult{}, err
-	}
-	res.Dilated = dcfg
-	res.Spec = lopts.Spec
-	res.Window = lo.Window
-	res.Depth = dopts.Depth
-	res.Policy = dopts.Policy
+	res.Depth = f.regime.Depth
+	res.Policy = f.regime.Policy
 	res.Retry = lo.Retry
 	return res, nil
 }

@@ -2,19 +2,25 @@ package simulate
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"edn/internal/analytic"
+	"edn/internal/closedloop"
 	"edn/internal/dilated"
 	"edn/internal/dilatedsim"
 	"edn/internal/queuesim"
+	"edn/internal/topology"
 )
 
 // At d=1 the dilated delta and the square EDN(b,b,1,l) are the same
-// wiring driven by equivalent engines, so the permutation drain — a
-// fully closed-loop workload — must agree bit-for-bit: same cycle
-// count, same latency distribution, at every depth.
-func TestDilatedDrainBitEqualAtD1(t *testing.T) {
+// wiring on the same engine, so every mode whose result type both
+// fabrics share must measure them identically: the drain (a fully
+// closed-loop workload), a sharded saturation point and a sharded
+// closed-loop point, at every depth and policy. Results must be
+// reflect.DeepEqual once the Config/Dilated label is zeroed — the guard
+// that the one harness drives both fabrics the same way.
+func TestDilatedBitEqualAtD1(t *testing.T) {
 	dcfg, err := dilated.New(2, 1, 3) // 8 ports, undilated
 	if err != nil {
 		t.Fatal(err)
@@ -23,32 +29,52 @@ func TestDilatedDrainBitEqualAtD1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const q = 6
-	for _, depth := range []int{0, 2, queuesim.Unbounded} {
-		for seed := uint64(1); seed <= 3; seed++ {
-			qres, err := DrainPermutations(cfg, q,
-				queuesim.Options{Depth: depth}, Options{Seed: seed})
-			if err != nil {
-				t.Fatal(err)
+	unlabel := func(cfg *topology.Config, dcfg *dilated.Config) {
+		*cfg, *dcfg = topology.Config{}, dilated.Config{}
+	}
+	modes := map[string]func(f Fabric, seed uint64) (any, error){
+		"drain": func(f Fabric, seed uint64) (any, error) {
+			r, err := DrainPermutations(f, 6, Options{Seed: seed})
+			unlabel(&r.Config, &r.Dilated)
+			return r, err
+		},
+		"saturation": func(f Fabric, seed uint64) (any, error) {
+			var out []LatencyResult
+			for i, load := range []float64{0.4, 1} {
+				r, err := SaturationPoint(f, load, i, nil, Options{Cycles: 600, Warmup: 100, Seed: seed}, 3)
+				if err != nil {
+					return nil, err
+				}
+				unlabel(&r.Config, &r.Dilated)
+				out = append(out, r)
 			}
-			dres, err := DilatedDrainPermutations(dcfg, q,
-				dilatedsim.Options{Depth: depth}, Options{Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if qres.Cycles != dres.Cycles {
-				t.Errorf("depth %d seed %d: EDN drained in %d cycles, dilated in %d",
-					depth, seed, qres.Cycles, dres.Cycles)
-			}
-			qh, dh := qres.Histogram, dres.Histogram
-			if qh.N() != dh.N() || qh.Sum() != dh.Sum() || qh.Max() != dh.Max() {
-				t.Fatalf("depth %d seed %d: histograms diverge (N %d vs %d, sum %g vs %g)",
-					depth, seed, qh.N(), dh.N(), qh.Sum(), dh.Sum())
-			}
-			for k := 0; k < qh.Buckets(); k++ {
-				if qh.Count(k) != dh.Count(k) {
-					t.Fatalf("depth %d seed %d: bucket %d diverges (%d vs %d)",
-						depth, seed, k, qh.Count(k), dh.Count(k))
+			return out, nil
+		},
+		"closedloop": func(f Fabric, seed uint64) (any, error) {
+			lo := closedloop.Options{Window: 2, Timeout: 40, Retry: closedloop.RetryBackoff}
+			r, err := ClosedLoopPoint(f, 0.3, 0, lo, Options{Cycles: 600, Warmup: 100, Seed: seed}, 2)
+			unlabel(&r.Config, &r.Dilated)
+			return r, err
+		},
+	}
+	for name, measure := range modes {
+		for _, depth := range []int{0, 2, queuesim.Unbounded} {
+			for _, policy := range []queuesim.Policy{queuesim.Backpressure, queuesim.Drop} {
+				for seed := uint64(1); seed <= 3; seed++ {
+					e, eerr := measure(EDN(cfg, queuesim.Options{Depth: depth, Policy: policy}), seed)
+					d, derr := measure(Dilated(dcfg, dilatedsim.Options{Depth: depth, Policy: policy}), seed)
+					if (eerr == nil) != (derr == nil) {
+						t.Fatalf("%s depth %d %v seed %d: EDN error %v, dilated error %v", name, depth, policy, seed, eerr, derr)
+					}
+					if eerr != nil {
+						if name == "drain" && policy == queuesim.Drop {
+							continue // both reject the lossy drain
+						}
+						t.Fatalf("%s depth %d %v seed %d: %v", name, depth, policy, seed, eerr)
+					}
+					if !reflect.DeepEqual(e, d) {
+						t.Errorf("%s depth %d %v seed %d: results diverge\nEDN     %+v\ndilated %+v", name, depth, policy, seed, e, d)
+					}
 				}
 			}
 		}
@@ -76,8 +102,7 @@ func TestDilatedDrainMatchesSection51ModelAtD1(t *testing.T) {
 	var sum, sumsq float64
 	const seeds = 6
 	for seed := uint64(1); seed <= seeds; seed++ {
-		res, err := DilatedDrainPermutations(dcfg, q,
-			dilatedsim.Options{Depth: 0}, Options{Seed: seed})
+		res, err := DrainPermutations(Dilated(dcfg, dilatedsim.Options{Depth: 0}), q, Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,13 +128,13 @@ func TestDilatedDrainValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DilatedDrainPermutations(dcfg, 0, dilatedsim.Options{}, Options{}); err == nil {
+	if _, err := DrainPermutations(Dilated(dcfg, dilatedsim.Options{}), 0, Options{}); err == nil {
 		t.Error("q=0 should be rejected")
 	}
-	if _, err := DilatedDrainPermutations(dcfg, 4, dilatedsim.Options{Policy: dilatedsim.Drop}, Options{}); err == nil {
+	if _, err := DrainPermutations(Dilated(dcfg, dilatedsim.Options{Policy: dilatedsim.Drop}), 4, Options{}); err == nil {
 		t.Error("drop policy should be rejected for a drain")
 	}
-	if res, err := DilatedDrainPermutations(dcfg, 2, dilatedsim.Options{Depth: 2}, Options{Seed: 1}); err != nil {
+	if res, err := DrainPermutations(Dilated(dcfg, dilatedsim.Options{Depth: 2}), 2, Options{Seed: 1}); err != nil {
 		t.Fatal(err)
 	} else if res.Network() != dcfg.String() {
 		t.Errorf("Network() = %q, want %q", res.Network(), dcfg.String())

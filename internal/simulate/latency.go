@@ -7,7 +7,6 @@ import (
 
 	"edn/internal/anatomy"
 	"edn/internal/dilated"
-	"edn/internal/dilatedsim"
 	"edn/internal/probe"
 	"edn/internal/queuesim"
 	"edn/internal/stats"
@@ -18,11 +17,10 @@ import (
 
 // LatencyResult aggregates one queueing measurement: throughput plus the
 // delivery-latency distribution of the packets retired inside the
-// measurement window. Config identifies an EDN measurement; a dilated
-// counterpart measurement (MeasureDilatedLatency and the Dilated*
-// sweeps) leaves Config zero and sets Dilated instead — the stat fields
-// mean the same thing either way, which is what lets the CLIs print the
-// two engines' curves side by side.
+// measurement window. The measured Fabric names itself in Config (an
+// EDN) or Dilated (a dilated delta), leaving the other zero; the stat
+// fields mean the same thing on either fabric, which is what lets the
+// CLIs print the two curves side by side.
 type LatencyResult struct {
 	Config  topology.Config
 	Dilated dilated.Config // set instead of Config for dilated runs
@@ -67,7 +65,7 @@ type LatencyResult struct {
 }
 
 // Network names the measured network: the EDN configuration, or the
-// dilated counterpart for dilated runs.
+// dilated delta on a dilated fabric.
 func (r LatencyResult) Network() string {
 	if r.Config == (topology.Config{}) {
 		return r.Dilated.String()
@@ -100,21 +98,6 @@ func (r *LatencyResult) fillQuantiles(inputs int) {
 	} else {
 		r.AcceptedFraction = 1
 	}
-}
-
-// packetEngine is the measurement surface shared by the two buffered
-// packet-level simulators, queuesim.Network (EDN) and
-// dilatedsim.Network (dilated delta). The harness loops are written
-// against it once, so EDN and counterpart measurements are the same
-// code driving different fabrics.
-type packetEngine interface {
-	Cycle(dest []int) (queuesim.CycleStats, error)
-	Queued() int64
-	Totals() queuesim.Totals
-	Latency() *stats.Histogram
-	ResetLatency()
-	SetProbe(*probe.Probe)
-	SetAnatomy(*anatomy.Collector)
 }
 
 // shardRun is one run of a sweep point's shard as runPoint hands it to
@@ -151,7 +134,7 @@ func singleRun(opts Options) shardRun {
 // during warmup but retired inside the window do count, and the
 // window's still-queued survivors not at all — the standard open-loop
 // truncation.
-func measurePacketEngine(net packetEngine, inputs, outputs int, pattern traffic.Pattern, r shardRun, res *LatencyResult) error {
+func measurePacketEngine(net *queuesim.Engine, inputs, outputs int, pattern traffic.Pattern, r shardRun, res *LatencyResult) error {
 	opts, share := r.opts, r.share
 	dest := make([]int, inputs)
 	gen, inPlace := pattern.(traffic.IntoGenerator)
@@ -214,71 +197,33 @@ func measurePacketEngine(net packetEngine, inputs, outputs int, pattern traffic.
 	return nil
 }
 
-// MeasureLatency drives pattern through a queueing network for
+// MeasureLatency drives pattern through one engine of f for
 // opts.Warmup + opts.Cycles cycles and reports throughput and the
 // latency distribution of the measurement window. The steady-state loop
 // is allocation-free for bounded depths: IntoGenerator patterns fill
-// the injection vector in place and the queueing engine reuses all ring
-// and histogram storage.
-func MeasureLatency(cfg topology.Config, pattern traffic.Pattern, qopts queuesim.Options, opts Options) (LatencyResult, error) {
-	return measureLatency(cfg, pattern, qopts, singleRun(opts.withDefaults()))
+// the injection vector in place and the engine reuses all ring and
+// histogram storage. Destinations are drawn in f's own output space;
+// with the same seed and input count, an EDN and its dilated
+// counterpart see the identical per-input injection realization (the
+// traffic sources draw the inject coin before the destination), which
+// is what "same replayed traffic" means across two networks with
+// different output counts.
+func MeasureLatency(f Fabric, pattern traffic.Pattern, opts Options) (LatencyResult, error) {
+	return measureLatency(f, pattern, singleRun(opts.withDefaults()))
 }
 
 // measureLatency is MeasureLatency for one shardRun.
-func measureLatency(cfg topology.Config, pattern traffic.Pattern, qopts queuesim.Options, r shardRun) (LatencyResult, error) {
-	if qopts.Factory == nil {
-		qopts.Factory = r.opts.Factory
-	}
+func measureLatency(f Fabric, pattern traffic.Pattern, r shardRun) (LatencyResult, error) {
 	r.building.Lock()
-	net, err := queuesim.New(cfg, qopts)
+	e, err := f.engine(r.opts)
 	r.building.Unlock()
 	if err != nil {
 		return LatencyResult{}, err
 	}
-	res := LatencyResult{
-		Config:  cfg,
-		Pattern: pattern.Name(),
-		Depth:   net.Depth(),
-		Policy:  net.Policy(),
-		Shards:  1,
-	}
-	if err := measurePacketEngine(net, cfg.Inputs(), cfg.Outputs(), pattern, r, &res); err != nil {
-		return LatencyResult{}, err
-	}
-	return res, nil
-}
-
-// MeasureDilatedLatency is MeasureLatency for the dilated packet
-// engine: the same harness, warmup truncation and result schema over a
-// d-dilated delta. Destinations are drawn in the dilated network's own
-// output space; with the same seed and input count as an EDN
-// measurement, the per-input injection process is the identical
-// realization (the traffic sources draw the inject coin before the
-// destination), which is what "same replayed traffic" means across two
-// networks with different output counts.
-func MeasureDilatedLatency(dcfg dilated.Config, pattern traffic.Pattern, dopts dilatedsim.Options, opts Options) (LatencyResult, error) {
-	return measureDilatedLatency(dcfg, pattern, dopts, singleRun(opts.withDefaults()))
-}
-
-// measureDilatedLatency is measureLatency for the dilated engine.
-func measureDilatedLatency(dcfg dilated.Config, pattern traffic.Pattern, dopts dilatedsim.Options, r shardRun) (LatencyResult, error) {
-	if dopts.Factory == nil {
-		dopts.Factory = r.opts.Factory
-	}
-	r.building.Lock()
-	net, err := dilatedsim.New(dcfg, dopts)
-	r.building.Unlock()
-	if err != nil {
-		return LatencyResult{}, err
-	}
-	res := LatencyResult{
-		Dilated: dcfg,
-		Pattern: pattern.Name(),
-		Depth:   net.Depth(),
-		Policy:  net.Policy(),
-		Shards:  1,
-	}
-	if err := measurePacketEngine(net, dcfg.Ports(), dcfg.Ports(), pattern, r, &res); err != nil {
+	res := LatencyResult{Pattern: pattern.Name(), Depth: e.Depth(), Policy: e.Policy(), Shards: 1}
+	f.net.label(&res.Config, &res.Dilated)
+	inputs, outputs := f.net.ports()
+	if err := measurePacketEngine(e.Engine, inputs, outputs, pattern, r, &res); err != nil {
 		return LatencyResult{}, err
 	}
 	return res, nil
@@ -321,60 +266,45 @@ func BurstyLoad(meanBurst float64) LoadPattern {
 	}
 }
 
-// SaturationSweep measures one LatencyResult per offered load: the
-// latency-vs-load curve whose knee is the network's saturation
-// throughput. Each load point splits opts.Cycles across `shards`
-// fully independent runs — own network, own traffic source, seed
-// derived from opts.Seed — executed in parallel and merged exactly
+// SaturationSweep measures one LatencyResult per offered load on f:
+// the latency-vs-load curve whose knee is the network's saturation
+// throughput. Each load point splits opts.Cycles across `shards` fully
+// independent runs — own engine, own traffic source, seed derived from
+// (opts.Seed, load index) — executed in parallel and merged exactly
 // (counter sums and histogram merges), the run-level sharding pattern
 // of MeasureUniformPAParallel. Results are deterministic for a fixed
-// (seed, shards) pair. shards <= 0 selects GOMAXPROCS; src nil selects
-// UniformLoad.
-func SaturationSweep(cfg topology.Config, loads []float64, src LoadPattern, qopts queuesim.Options, opts Options, shards int) ([]LatencyResult, error) {
-	opts = opts.withDefaults()
-	if src == nil {
-		src = UniformLoad
-	}
-	return sweepLoads(cfg.Inputs(), loads, opts, shards, saturationMeasure(cfg, src, qopts))
+// (seed, shards) pair, and the seeds do not depend on the fabric:
+// sweeping an EDN and its dilated counterpart with the same Options
+// drives both with identical per-input injection replays, the measured
+// two-sided form of the paper's equal-redundancy comparison. shards 0
+// selects GOMAXPROCS; src nil selects UniformLoad.
+func SaturationSweep(f Fabric, loads []float64, src LoadPattern, opts Options, shards int) ([]LatencyResult, error) {
+	return sweep(loads, func(i int, load float64) (LatencyResult, error) {
+		return SaturationPoint(f, load, i, src, opts, shards)
+	})
 }
 
-// saturationMeasure builds the one-shard measurement closure of an EDN
-// saturation sweep; SaturationSweep and SaturationPoint share it so a
-// streamed point is the batch sweep's point by construction.
-func saturationMeasure(cfg topology.Config, src LoadPattern, qopts queuesim.Options) pointMeasure {
-	return func(load float64, r shardRun) (LatencyResult, error) {
-		return measureLatency(cfg, src(load, xrand.New(r.seed)), qopts, r)
+// sweep measures one point per axis value in order: the batch form of
+// every per-point entry point.
+func sweep[R any](axis []float64, point func(i int, x float64) (R, error)) ([]R, error) {
+	results := make([]R, 0, len(axis))
+	for i, x := range axis {
+		r, err := point(i, x)
+		if err != nil {
+			return nil, err
+		}
+		results = append(results, r)
 	}
-}
-
-// DilatedSaturationSweep is SaturationSweep over the dilated packet
-// engine. Shard seeds derive from (opts.Seed, load index, shards)
-// exactly as in SaturationSweep, so running both sweeps with the same
-// Options and shard count drives the EDN and its counterpart with
-// identical per-input injection replays — the measured two-sided form
-// of the paper's equal-redundancy comparison, tails included.
-func DilatedSaturationSweep(dcfg dilated.Config, loads []float64, src LoadPattern, dopts dilatedsim.Options, opts Options, shards int) ([]LatencyResult, error) {
-	opts = opts.withDefaults()
-	if src == nil {
-		src = UniformLoad
-	}
-	return sweepLoads(dcfg.Ports(), loads, opts, shards, dilatedSaturationMeasure(dcfg, src, dopts))
-}
-
-// dilatedSaturationMeasure is saturationMeasure for the dilated engine.
-func dilatedSaturationMeasure(dcfg dilated.Config, src LoadPattern, dopts dilatedsim.Options) pointMeasure {
-	return func(load float64, r shardRun) (LatencyResult, error) {
-		return measureDilatedLatency(dcfg, src(load, xrand.New(r.seed)), dopts, r)
-	}
+	return results, nil
 }
 
 // runShards splits a cycle budget across parallel shards — shard w
 // gets cycles/shards cycles plus one of the remainder — and runs
 // fn(w, cycles) concurrently for every shard with a non-zero share,
-// returning after all complete. It is the fan-out skeleton every
-// sharded sweep in this package uses; keeping it in one place keeps
-// the budget split (and therefore the shard seeding pairing between
-// EDN and dilated sweeps) identical everywhere.
+// returning after all complete. It is the fan-out skeleton of every
+// budget-split sweep in this package, so every mode on every fabric
+// splits its budget, and therefore pairs its shard seeds, the same
+// way.
 func runShards(totalCycles, shards int, fn func(w, cycles int)) {
 	var wg sync.WaitGroup
 	per := totalCycles / shards
@@ -475,47 +405,20 @@ func runPoint(opts Options, index, shards int, measure func(w int, r shardRun), 
 	return nil
 }
 
-// sweepLoads runs one measurement per load point, splitting each
-// point's cycle budget across parallel shards (seed derived per (load
-// index, shard), independent of scheduling) and merging counters and
-// histograms exactly. It is the engine-agnostic core of the saturation
-// sweeps; measure runs one shard.
-//
-// When opts.Probe or opts.Anatomy is set, shard 0 of each point doubles
-// as its observation run (see runPoint): it runs the full cycle budget
-// under seeds[0] with the observers attached, contributes its measured
-// partial from its share boundary, and fills Observed. The merged
-// counters and histograms are bit-identical to an unobserved sweep, and
-// the observation is the same for every shard count.
-func sweepLoads(inputs int, loads []float64, opts Options, shards int, measure pointMeasure) ([]LatencyResult, error) {
-	shards, err := normalizeShards(shards, opts.Cycles)
-	if err != nil {
-		return nil, err
+// sweepLoadPoint measures one point of a load sweep on f — point
+// `index` on the sweep's axis — splitting the cycle budget across
+// shards with seeds derived from (opts.Seed, index) (see runPoint) and
+// merging counters and histograms exactly. When opts.Probe or
+// opts.Anatomy is set, shard 0 doubles as the point's observation run:
+// it runs the full cycle budget under seeds[0] with the observers
+// attached, contributes its measured partial from its share boundary,
+// and fills Observed, so the merge is bit-identical to an unobserved
+// point's and the observation is the same for every shard count.
+// Callers must have normalized shards and applied opts.withDefaults.
+func sweepLoadPoint(f Fabric, load float64, index int, src LoadPattern, opts Options, shards int) (LatencyResult, error) {
+	if src == nil {
+		src = UniformLoad
 	}
-	results := make([]LatencyResult, 0, len(loads))
-	for i, load := range loads {
-		merged, err := sweepLoadPoint(inputs, load, i, opts, shards, measure)
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, merged)
-	}
-	return results, nil
-}
-
-// pointMeasure runs one shard of one sweep point: the given load over
-// the shardRun r handed out by runPoint (see measurePacketEngine). Bare
-// shards get r.opts.Cycles == r.share and no observers; shard 0 of an
-// observed point gets the full budget with the observers set, so they
-// run on past the partial.
-type pointMeasure func(load float64, r shardRun) (LatencyResult, error)
-
-// sweepLoadPoint measures one point of a load sweep — point `index` on
-// the sweep's axis — splitting the cycle budget across shards with
-// seeds derived from (opts.Seed, index) exactly as the batch sweeps
-// always have, and merging exactly. Callers must have normalized
-// shards and applied opts.withDefaults.
-func sweepLoadPoint(inputs int, load float64, index int, opts Options, shards int, measure pointMeasure) (LatencyResult, error) {
 	type partial struct {
 		res LatencyResult
 		err error
@@ -523,7 +426,7 @@ func sweepLoadPoint(inputs int, load float64, index int, opts Options, shards in
 	parts := make([]partial, shards)
 	var merged LatencyResult
 	err := runPoint(opts, index, shards, func(w int, r shardRun) {
-		parts[w].res, parts[w].err = measure(load, r)
+		parts[w].res, parts[w].err = measureLatency(f, src(load, xrand.New(r.seed)), r)
 	}, func() error {
 		var queuedWeighted float64
 		first := true
@@ -558,6 +461,7 @@ func sweepLoadPoint(inputs int, load float64, index int, opts Options, shards in
 		if merged.Cycles > 0 {
 			merged.AvgQueued = queuedWeighted / float64(merged.Cycles)
 		}
+		inputs, _ := f.net.ports()
 		merged.fillQuantiles(inputs)
 		return nil
 	})
@@ -572,7 +476,7 @@ func sweepLoadPoint(inputs int, load float64, index int, opts Options, shards in
 // delivered.
 type DrainResult struct {
 	Config  topology.Config
-	Dilated dilated.Config // set instead of Config for dilated drains
+	Dilated dilated.Config // set instead of Config on a dilated fabric
 	Q       int            // packets preloaded per input
 	Cycles  int64          // cycles until the last delivery
 	// Latency distribution over all delivered packets, measured from
@@ -592,8 +496,8 @@ func (r DrainResult) Network() string {
 	return r.Config.String()
 }
 
-// DrainPermutations preloads every input with q packets — packet k of
-// every input drawn from an independent random permutation, the
+// DrainPermutations preloads every input of f with q packets — packet
+// k of every input drawn from an independent random permutation, the
 // Section 5.1 workload of an RA-EDN cluster with q processors per port
 // — and runs the network closed-loop (each input re-offers its next
 // packet as soon as the network can accept it) until everything is
@@ -606,81 +510,42 @@ func (r DrainResult) Network() string {
 //   - Depth >= 1 / Unbounded quantifies how much interstage buffering
 //     shortens the drain below the unbuffered baseline.
 //
-// The workload needs a square network (permutations over the ports).
-func DrainPermutations(cfg topology.Config, q int, qopts queuesim.Options, opts Options) (DrainResult, error) {
-	if !cfg.IsSquare() {
-		return DrainResult{}, fmt.Errorf("simulate: permutation drain needs a square network, got %v (%d x %d)", cfg, cfg.Inputs(), cfg.Outputs())
+// The workload needs a square network (permutations over the ports),
+// which every dilated delta is. At d=1 the dilated delta and the square
+// EDN(b,b,1,l) are the same wiring, so their drains agree bit for bit
+// under the same seed.
+func DrainPermutations(f Fabric, q int, opts Options) (DrainResult, error) {
+	if err := f.net.validate(); err != nil {
+		return DrainResult{}, err
+	}
+	inputs, outputs := f.net.ports()
+	if inputs != outputs {
+		return DrainResult{}, fmt.Errorf("simulate: permutation drain needs a square network, got %v (%d x %d)", f, inputs, outputs)
 	}
 	if q < 1 {
 		return DrainResult{}, fmt.Errorf("simulate: q=%d packets per input must be positive", q)
 	}
-	opts = opts.withDefaults()
-	if qopts.Policy == queuesim.Drop {
+	if f.regime.Policy == queuesim.Drop {
 		return DrainResult{}, fmt.Errorf("simulate: a drain needs the lossless Backpressure policy")
 	}
-	if qopts.Factory == nil {
-		qopts.Factory = opts.Factory
-	}
-	net, err := queuesim.New(cfg, qopts)
+	opts = opts.withDefaults()
+	e, err := f.engine(opts)
 	if err != nil {
 		return DrainResult{}, err
 	}
-	res, err := drainPermutations(net, cfg.Inputs(), cfg.Stages(), q, opts.Seed)
+	res, err := drainPermutations(e.Engine, inputs, q, opts.Seed)
 	if err != nil {
 		return DrainResult{}, err
 	}
-	res.Config = cfg
+	f.net.label(&res.Config, &res.Dilated)
 	return res, nil
 }
 
-// DilatedDrainPermutations is the dilated-network analog of
-// DrainPermutations: every port preloaded with q permutation-drawn
-// packets, run closed-loop until empty. At d=1 the dilated delta and
-// the square EDN(b,b,1,l) are the same wiring, so the two drains agree
-// bit-for-bit under the same seed — the cross-check that pins the two
-// engines' closed-loop behavior together (the equivalence test asserts
-// it), and ExpectedPermutationTime models the depth-0 Backpressure
-// corner exactly as on the EDN side.
-func DilatedDrainPermutations(dcfg dilated.Config, q int, dopts dilatedsim.Options, opts Options) (DrainResult, error) {
-	if err := dcfg.Validate(); err != nil {
-		return DrainResult{}, err
-	}
-	if q < 1 {
-		return DrainResult{}, fmt.Errorf("simulate: q=%d packets per input must be positive", q)
-	}
-	opts = opts.withDefaults()
-	if dopts.Policy == dilatedsim.Drop {
-		return DrainResult{}, fmt.Errorf("simulate: a drain needs the lossless Backpressure policy")
-	}
-	if dopts.Factory == nil {
-		dopts.Factory = opts.Factory
-	}
-	net, err := dilatedsim.New(dcfg, dopts)
-	if err != nil {
-		return DrainResult{}, err
-	}
-	res, err := drainPermutations(net, dcfg.Ports(), net.Stages(), q, opts.Seed)
-	if err != nil {
-		return DrainResult{}, err
-	}
-	res.Dilated = dcfg
-	return res, nil
-}
-
-// drainEngine is the closed-loop drain surface both packet engines
-// share: offer-when-free plus the delivered total that terminates the
-// run.
-type drainEngine interface {
-	InputFree(i int) bool
-	Cycle(dest []int) (queuesim.CycleStats, error)
-	Totals() queuesim.Totals
-	Latency() *stats.Histogram
-}
-
-// drainPermutations is the engine-agnostic drain loop: preload q
-// permutations, offer each input's next packet whenever the input can
-// take it, and run until everything is delivered.
-func drainPermutations(net drainEngine, inputs, stages, q int, seed uint64) (DrainResult, error) {
+// drainPermutations is the drain loop: preload q permutations, offer
+// each input's next packet whenever the input can take it, and run
+// until everything is delivered.
+func drainPermutations(net *queuesim.Engine, inputs, q int, seed uint64) (DrainResult, error) {
+	stages := net.Stages()
 	rng := xrand.New(seed)
 	// queue[i] holds input i's packets in offer order: one entry from
 	// each of q independent permutations.

@@ -25,8 +25,7 @@ func TestMeasureLatencyLowLoad(t *testing.T) {
 	// sit essentially on the pipeline floor of Stages() cycles.
 	cfg := latencyCfg(t, 16, 4, 4, 2)
 	rng := xrand.New(2)
-	res, err := MeasureLatency(cfg, traffic.Uniform{Rate: 0.02, Rng: rng},
-		queuesim.Options{Depth: 4}, Options{Cycles: 2000, Warmup: 100})
+	res, err := MeasureLatency(EDN(cfg, queuesim.Options{Depth: 4}), traffic.Uniform{Rate: 0.02, Rng: rng}, Options{Cycles: 2000, Warmup: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,8 +53,7 @@ func TestMeasureLatencyRisesWithLoad(t *testing.T) {
 	var prev float64
 	for i, load := range []float64{0.2, 0.6, 1.0} {
 		rng := xrand.New(4)
-		res, err := MeasureLatency(cfg, traffic.Uniform{Rate: load, Rng: rng},
-			queuesim.Options{Depth: 8}, Options{Cycles: 1500, Warmup: 300})
+		res, err := MeasureLatency(EDN(cfg, queuesim.Options{Depth: 8}), traffic.Uniform{Rate: load, Rng: rng}, Options{Cycles: 1500, Warmup: 300})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,8 +73,7 @@ func TestMeasureLatencyLittlesLaw(t *testing.T) {
 	// latency histogram together through independent counters.
 	cfg := latencyCfg(t, 16, 4, 4, 2)
 	rng := xrand.New(6)
-	res, err := MeasureLatency(cfg, traffic.Uniform{Rate: 0.4, Rng: rng},
-		queuesim.Options{Depth: 16}, Options{Cycles: 4000, Warmup: 500})
+	res, err := MeasureLatency(EDN(cfg, queuesim.Options{Depth: 16}), traffic.Uniform{Rate: 0.4, Rng: rng}, Options{Cycles: 4000, Warmup: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,8 +86,7 @@ func TestMeasureLatencyLittlesLaw(t *testing.T) {
 func TestSaturationSweepShapes(t *testing.T) {
 	cfg := latencyCfg(t, 16, 4, 4, 2)
 	loads := []float64{0.2, 0.5, 0.9}
-	results, err := SaturationSweep(cfg, loads, nil,
-		queuesim.Options{Depth: 8}, Options{Cycles: 800, Warmup: 200, Seed: 3}, 4)
+	results, err := SaturationSweep(EDN(cfg, queuesim.Options{Depth: 8}), loads, nil, Options{Cycles: 800, Warmup: 200, Seed: 3}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +116,7 @@ func TestSaturationSweepShapes(t *testing.T) {
 func TestSaturationSweepDeterministic(t *testing.T) {
 	cfg := latencyCfg(t, 8, 2, 4, 2)
 	run := func() []LatencyResult {
-		res, err := SaturationSweep(cfg, []float64{0.5, 1}, nil,
-			queuesim.Options{Depth: 4}, Options{Cycles: 400, Warmup: 50, Seed: 9}, 3)
+		res, err := SaturationSweep(EDN(cfg, queuesim.Options{Depth: 4}), []float64{0.5, 1}, nil, Options{Cycles: 400, Warmup: 50, Seed: 9}, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,11 +137,11 @@ func TestSaturationSweepBurstyHurts(t *testing.T) {
 	cfg := latencyCfg(t, 16, 4, 4, 2)
 	qopts := queuesim.Options{Depth: 32}
 	opts := Options{Cycles: 3000, Warmup: 500, Seed: 5}
-	uniform, err := SaturationSweep(cfg, []float64{0.5}, nil, qopts, opts, 2)
+	uniform, err := SaturationSweep(EDN(cfg, qopts), []float64{0.5}, nil, opts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bursty, err := SaturationSweep(cfg, []float64{0.5}, BurstyLoad(24), qopts, opts, 2)
+	bursty, err := SaturationSweep(EDN(cfg, qopts), []float64{0.5}, BurstyLoad(24), opts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +198,7 @@ func TestDrainPermutationsMatchesSection51Model(t *testing.T) {
 		n          int
 	}
 	for seed := uint64(1); seed <= 6; seed++ {
-		res, err := DrainPermutations(cfg, q, queuesim.Options{Depth: 0},
+		res, err := DrainPermutations(EDN(cfg, queuesim.Options{Depth: 0}), q,
 			Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
@@ -237,7 +232,7 @@ func TestDrainPermutationsBufferingHelps(t *testing.T) {
 	cfg := latencyCfg(t, 16, 4, 4, 2)
 	const q = 8
 	drain := func(depth int) int64 {
-		res, err := DrainPermutations(cfg, q, queuesim.Options{Depth: depth},
+		res, err := DrainPermutations(EDN(cfg, queuesim.Options{Depth: depth}), q,
 			Options{Seed: 11})
 		if err != nil {
 			t.Fatal(err)
@@ -260,14 +255,14 @@ func TestDrainPermutationsBufferingHelps(t *testing.T) {
 
 func TestDrainPermutationsValidation(t *testing.T) {
 	rect := latencyCfg(t, 4, 4, 2, 2)
-	if _, err := DrainPermutations(rect, 4, queuesim.Options{}, Options{}); err == nil {
+	if _, err := DrainPermutations(EDN(rect, queuesim.Options{}), 4, Options{}); err == nil {
 		t.Error("rectangular network should be rejected")
 	}
 	sq := latencyCfg(t, 8, 2, 4, 2)
-	if _, err := DrainPermutations(sq, 0, queuesim.Options{}, Options{}); err == nil {
+	if _, err := DrainPermutations(EDN(sq, queuesim.Options{}), 0, Options{}); err == nil {
 		t.Error("q=0 should be rejected")
 	}
-	if _, err := DrainPermutations(sq, 4, queuesim.Options{Policy: queuesim.Drop}, Options{}); err == nil {
+	if _, err := DrainPermutations(EDN(sq, queuesim.Options{Policy: queuesim.Drop}), 4, Options{}); err == nil {
 		t.Error("drop policy should be rejected for a drain")
 	}
 }

@@ -7,10 +7,7 @@ import (
 	"sync"
 	"time"
 
-	"edn/internal/analytic"
 	"edn/internal/dilated"
-	"edn/internal/dilatedsim"
-	"edn/internal/faults"
 	"edn/internal/lifecycle"
 	"edn/internal/probe"
 	"edn/internal/queuesim"
@@ -40,7 +37,10 @@ type LifetimeOptions struct {
 	Threshold float64
 }
 
-func (o LifetimeOptions) withDefaults(cfg topology.Config) (LifetimeOptions, error) {
+// withDefaults validates o and applies the defaults every lifetime
+// mode shares on every fabric; load is the mode's default Load. Load
+// is a request probability, so one above 1 is an error.
+func (o LifetimeOptions) withDefaults(f Fabric, load float64) (LifetimeOptions, error) {
 	if o.Epochs <= 0 {
 		return o, fmt.Errorf("simulate: lifetime sweep needs a positive epoch count")
 	}
@@ -48,10 +48,13 @@ func (o LifetimeOptions) withDefaults(cfg topology.Config) (LifetimeOptions, err
 		o.EpochCycles = 200
 	}
 	if o.Load <= 0 {
-		o.Load = 1
+		o.Load = load
+	}
+	if o.Load > 1 {
+		return o, fmt.Errorf("simulate: lifetime load %g out of [0,1]", o.Load)
 	}
 	if o.Threshold <= 0 {
-		o.Threshold = 0.5 * analytic.Bandwidth(cfg, o.Load) / float64(cfg.Inputs())
+		o.Threshold = 0.5 * f.net.healthyBandwidth(o.Load)
 	}
 	return o, nil
 }
@@ -129,84 +132,80 @@ func (r LifetimeResult) MarshalJSON() ([]byte, error) {
 	return json.Marshal(aux)
 }
 
-// LifetimeSweep simulates a network's whole service life: components
-// fail and get repaired epoch by epoch (one lifecycle.Process per
-// shard), the running engines are re-masked in place via UpdateFaults —
-// queue contents, arbiter state and all precomputed tables survive
-// every swap, so packets in flight experience the failure exactly as
-// deployed hardware would — and every epoch's delivered bandwidth,
-// reachability and latency tail are recorded into per-epoch time
-// series.
+// LifetimeKind is the result type of a lifetime sweep: LifetimeResult
+// on an EDN fabric, DilatedLifetimeResult on a dilated one.
+type LifetimeKind interface {
+	LifetimeResult | DilatedLifetimeResult
+}
+
+// LifetimeSweep simulates f's whole service life: components fail and
+// get repaired epoch by epoch (one churn process per shard), the
+// running engine is re-masked in place — queue contents, arbiter state
+// and all precomputed tables survive every swap, so packets in flight
+// experience the failure exactly as deployed hardware would — and every
+// epoch's delivered bandwidth, reachability and latency tail are
+// recorded into per-epoch time series. An EDN churns the population
+// lopts.Spec.Mode names, with lifecycle's blast overlay; a dilated
+// delta churns its sub-wires, each on the same alternating-renewal
+// clock with the spec's MTBF, MTTR, timing and repair window (Mode and
+// the blast overlay name EDN structures and are ignored).
 //
-// Shards are fully independent lifetimes (own network, own failure
-// story, own traffic stream, seeds derived from opts.Seed) executed in
-// parallel and merged exactly per epoch, the run-level pattern of
-// SaturationSweep; results are deterministic for a fixed (seed, shards)
-// pair. shards <= 0 selects GOMAXPROCS; src nil selects uniform iid
-// traffic at lopts.Load.
+// Shards are fully independent lifetimes (own engine, own failure
+// story, own traffic stream) executed in parallel and merged exactly
+// per epoch; results are deterministic for a fixed (seed, shards)
+// pair. The per-shard seeds derive from opts.Seed alone, so an EDN and
+// its counterpart swept with the same Options face identically
+// distributed outages under identical per-input traffic replays — the
+// measured lifetime half of the equal-redundancy comparison. shards 0
+// selects GOMAXPROCS; src nil selects uniform iid traffic at
+// lopts.Load; lopts.Threshold <= 0 selects half f's fault-free analytic
+// bandwidth per input. R must be f's result type (LifetimeKind); any
+// other is an error.
 //
 // opts.Warmup cycles run fault-free before the first epoch so the
-// series starts from the healthy steady state. Fault processes that
-// kill output terminals (switch/mixed churn reaching the crossbars)
-// pair naturally with the Drop policy; under Backpressure packets
-// addressed to a dead terminal park until the repair arrives (counted
-// in the Parked series) — a real operational regime, but one that
-// conflates queueing with availability in the bandwidth series.
-func LifetimeSweep(cfg topology.Config, lopts LifetimeOptions, src LoadPattern, qopts queuesim.Options, opts Options, shards int) (LifetimeResult, error) {
+// series starts from the healthy steady state; the fabric's static
+// faults are not applied. Fault processes that kill output terminals
+// (switch/mixed churn reaching the crossbars) pair naturally with the
+// Drop policy; under Backpressure packets addressed to a dead terminal
+// park until the repair arrives (counted in the Parked series) — a
+// real operational regime, but one that conflates queueing with
+// availability in the bandwidth series.
+func LifetimeSweep[R LifetimeKind](f Fabric, lopts LifetimeOptions, src LoadPattern, opts Options, shards int) (R, error) {
+	var zero R
 	opts = opts.withDefaults()
-	lopts, err := lopts.withDefaults(cfg)
+	lopts, err := lopts.withDefaults(f, 1)
 	if err != nil {
-		return LifetimeResult{}, err
+		return zero, err
 	}
 	if src == nil {
 		src = UniformLoad
 	}
-	if qopts.Factory == nil {
-		qopts.Factory = opts.Factory
-	}
 	shards, err = normalizeShards(shards, 0)
 	if err != nil {
-		return LifetimeResult{}, err
+		return zero, err
 	}
-
-	m, err := runLifetimeShards(lopts, opts, shards, func(w int, procSeed, trafficSeed uint64) partialLifetime {
-		return runLifetimeShard(cfg, lopts, src, qopts, opts, w, procSeed, trafficSeed)
+	parts := lifetimeShards(opts, shards, func(w int, procSeed, trafficSeed uint64) partialLifetime {
+		start := time.Now()
+		p := runLifetimeShard(f.withFaults(nil), lopts, src(lopts.Load, xrand.New(trafficSeed)), opts, lifetimeProbe(opts.Probe, lopts, w), procSeed)
+		if opts.OnStage != nil {
+			// Every lifetime shard runs the full epoch schedule.
+			opts.OnStage("shard", w, lopts.Epochs*lopts.EpochCycles, start, time.Since(start))
+		}
+		return p
 	})
+	m, err := mergeLifetimes(lopts, opts, parts)
 	if err != nil {
-		return LifetimeResult{}, err
+		return zero, err
 	}
-	return LifetimeResult{
-		Config:             cfg,
-		Spec:               lopts.Spec,
-		Epochs:             lopts.Epochs,
-		EpochCycles:        lopts.EpochCycles,
-		Shards:             shards,
-		Threshold:          lopts.Threshold,
-		Depth:              qopts.Depth,
-		Policy:             qopts.Policy,
-		Bandwidth:          m.bandwidth,
-		Reachable:          m.reachable,
-		DeadFraction:       m.deadFrac,
-		LatencyP99:         m.p99,
-		Parked:             m.parked,
-		Injected:           m.totals.Injected,
-		Refused:            m.totals.Refused,
-		Delivered:          m.totals.Delivered,
-		Dropped:            m.totals.Dropped,
-		Stranded:           m.totals.Stranded,
-		LifetimeBandwidth:  m.lifetimeBandwidth,
-		DeliveredFraction:  m.deliveredFraction,
-		TimeBelowThreshold: m.timeBelowThreshold,
-		RecoveryHalfLife:   m.recoveryHalfLife,
-		Observed:           m.rep,
-	}, nil
+	return as[R](f.net.lifetime(&m, lopts, f.regime, shards), nil)
 }
 
-// lifetimeMerge is the engine-agnostic half of a lifetime result: the
-// exactly-merged per-epoch series, the summed lifetime counters and
-// the derived aggregates. Both sweeps build their public result from
-// one of these, so the merge and aggregate rules cannot drift between
-// the EDN and dilated halves of a paired comparison.
+// lifetimeMerge is the part of a lifetime result every fabric shares:
+// the exactly-merged per-epoch series, the summed lifetime counters and
+// the derived aggregates. Each fabric's result type takes its fields
+// from one of these (see the network implementations), so the merge and
+// aggregate rules cannot drift between the EDN and dilated halves of a
+// paired comparison.
 type lifetimeMerge struct {
 	bandwidth, reachable, deadFrac, p99, parked *stats.TimeSeries
 	totals                                      queuesim.Totals
@@ -237,36 +236,34 @@ func lifetimeProbe(po *probe.Options, lopts LifetimeOptions, w int) *probe.Probe
 	return probe.New(p)
 }
 
-// runLifetimeShards derives one (process, traffic) seed pair per shard
-// from opts.Seed — the derivation is shared by both sweeps, which is
-// what makes "same Options" mean "same replays" — runs the shard
-// lifetimes in parallel and merges series, counters and aggregates.
-func runLifetimeShards(lopts LifetimeOptions, opts Options, shards int, runShard func(w int, procSeed, trafficSeed uint64) partialLifetime) (lifetimeMerge, error) {
-	// Derive per-shard seeds up front so the assignment does not depend
-	// on scheduling.
+// lifetimeShards runs one whole lifetime per shard in parallel, for
+// every lifetime mode on every fabric. Each shard's (process, traffic)
+// seed pair derives from opts.Seed up front, so the assignment does not
+// depend on scheduling, and "same Options" means "same replays" across
+// modes and fabrics.
+func lifetimeShards[P any](opts Options, shards int, run func(w int, procSeed, trafficSeed uint64) P) []P {
 	root := xrand.New(opts.Seed ^ 0x5bf0_3635_d1c2_a94f)
 	type shardSeed struct{ proc, traffic uint64 }
 	seeds := make([]shardSeed, shards)
 	for w := range seeds {
 		seeds[w] = shardSeed{proc: root.Uint64() | 1, traffic: root.Uint64() | 1}
 	}
-
-	parts := make([]partialLifetime, shards)
+	parts := make([]P, shards)
 	var wg sync.WaitGroup
-	for w := 0; w < shards; w++ {
+	for w := range parts {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			start := time.Now()
-			parts[w] = runShard(w, seeds[w].proc, seeds[w].traffic)
-			if opts.OnStage != nil {
-				// Every lifetime shard runs the full epoch schedule.
-				opts.OnStage("shard", w, lopts.Epochs*lopts.EpochCycles, start, time.Since(start))
-			}
+			parts[w] = run(w, seeds[w].proc, seeds[w].traffic)
 		}(w)
 	}
 	wg.Wait()
+	return parts
+}
 
+// mergeLifetimes merges the shard lifetimes' series, counters and
+// probe reports exactly and derives the aggregates.
+func mergeLifetimes(lopts LifetimeOptions, opts Options, parts []partialLifetime) (lifetimeMerge, error) {
 	mergeStart := time.Now()
 	m := lifetimeMerge{
 		bandwidth: stats.NewTimeSeries(lopts.Epochs),
@@ -318,52 +315,33 @@ func runLifetimeShards(lopts LifetimeOptions, opts Options, shards int, runShard
 	return m, nil
 }
 
-// runLifetimeShard simulates one independent lifetime: warmup
-// fault-free, then Epochs iterations of (advance the failure process,
-// compile, swap the masks in place, run EpochCycles cycles, record).
-func runLifetimeShard(cfg topology.Config, lopts LifetimeOptions, src LoadPattern, qopts queuesim.Options, opts Options, w int, procSeed, trafficSeed uint64) partialLifetime {
-	proc, err := lifecycle.New(cfg, lopts.Spec, xrand.New(procSeed))
-	if err != nil {
-		return partialLifetime{err: err}
-	}
-	sq := qopts
-	sq.Faults = nil // the lifetime starts healthy; epochs swap masks in
-	net, err := queuesim.New(cfg, sq)
-	if err != nil {
-		return partialLifetime{err: err}
-	}
-	inputs, outputs := cfg.Inputs(), cfg.Outputs()
-	step := func() (reachable, deadFrac float64, err error) {
-		masks, err := faults.Compile(cfg, proc.Step())
-		if err != nil {
-			return 0, 0, err
-		}
-		if err := net.UpdateFaults(masks); err != nil {
-			return 0, 0, err
-		}
-		return float64(masks.ReachableOutputs()) / float64(outputs), proc.DeadFraction(), nil
-	}
-	return runLifetimeLoop(net, inputs, outputs, lopts, src(lopts.Load, xrand.New(trafficSeed)), opts.Warmup, lifetimeProbe(opts.Probe, lopts, w), step)
-}
-
-// runLifetimeLoop is the per-shard epoch loop both lifetime sweeps
-// share, written against the engine-agnostic packetEngine surface:
-// warmup fault-free, then Epochs iterations of (step — advance the
-// fault process and re-mask the running engine in place — then run
-// EpochCycles cycles and record the epoch's series). step returns the
-// epoch's reachable-output and dead-population fractions alongside any
-// compile/swap error.
-func runLifetimeLoop(net packetEngine, inputs, outputs int, lopts LifetimeOptions, pattern traffic.Pattern, warmup int, pr *probe.Probe, step func() (reachable, deadFrac float64, err error)) partialLifetime {
+// runLifetimeShard simulates one independent lifetime of f: warmup
+// fault-free, then Epochs iterations of (advance the churn process,
+// swap its masks into the running engine in place, run EpochCycles
+// cycles, record the epoch's series).
+func runLifetimeShard(f Fabric, lopts LifetimeOptions, pattern traffic.Pattern, opts Options, pr *probe.Probe, procSeed uint64) partialLifetime {
 	var p partialLifetime
+	ch, err := f.net.churn(lopts.Spec, xrand.New(procSeed))
+	if err != nil {
+		p.err = err
+		return p
+	}
+	net, err := f.engine(opts)
+	if err != nil {
+		p.err = err
+		return p
+	}
 	p.bandwidth = stats.NewTimeSeries(lopts.Epochs)
 	p.reachable = stats.NewTimeSeries(lopts.Epochs)
 	p.deadFrac = stats.NewTimeSeries(lopts.Epochs)
 	p.p99 = stats.NewTimeSeries(lopts.Epochs)
 	p.parked = stats.NewTimeSeries(lopts.Epochs)
 
+	inputs, outputs := f.net.ports()
+	live := make([]bool, outputs)
 	gen, inPlace := pattern.(traffic.IntoGenerator)
 	dest := make([]int, inputs)
-	for c := 0; c < warmup; c++ {
+	for c := 0; c < opts.Warmup; c++ {
 		if inPlace {
 			gen.GenerateInto(dest, outputs)
 		} else {
@@ -384,11 +362,15 @@ func runLifetimeLoop(net packetEngine, inputs, outputs int, lopts LifetimeOption
 	}
 
 	for e := 0; e < lopts.Epochs; e++ {
-		reachable, deadFrac, err := step()
+		m, err := ch.step()
+		if err == nil {
+			err = net.setFaults(m)
+		}
 		if err != nil {
 			p.err = err
 			return p
 		}
+		reachable := float64(m.ReachableOutputsInto(live)) / float64(outputs)
 		net.ResetLatency()
 		before := net.Totals()
 		parked := 0
@@ -409,7 +391,7 @@ func runLifetimeLoop(net packetEngine, inputs, outputs int, lopts LifetimeOption
 		delivered := after.Delivered - before.Delivered
 		p.bandwidth.Add(e, float64(delivered)/float64(lopts.EpochCycles*inputs))
 		p.reachable.Add(e, reachable)
-		p.deadFrac.Add(e, deadFrac)
+		p.deadFrac.Add(e, ch.DeadFraction())
 		if net.Latency().N() > 0 {
 			// A blackout epoch that retires nothing has no latency
 			// observation; recording its empty-histogram quantile (0)
@@ -441,8 +423,8 @@ type partialLifetime struct {
 }
 
 // DilatedLifetimeResult is the availability-over-time view of a dilated
-// delta under sub-wire churn, with the same series and aggregate
-// semantics as LifetimeResult.
+// delta under sub-wire churn (LifetimeSweep on a Dilated fabric), with
+// the same series and aggregate semantics as LifetimeResult.
 type DilatedLifetimeResult struct {
 	Dilated     dilated.Config
 	MTBF        float64
@@ -495,109 +477,4 @@ func (r DilatedLifetimeResult) MarshalJSON() ([]byte, error) {
 		aux.RecoveryHalfLife = &r.RecoveryHalfLife
 	}
 	return json.Marshal(aux)
-}
-
-// DilatedLifetimeSweep simulates a dilated delta's whole service life
-// under sub-wire churn: every sub-wire runs an alternating-renewal
-// clock with lopts.Spec's MTBF/MTTR/Timing (the population is always
-// the sub-wires — the network's entire redundancy budget — so
-// Spec.Mode and the blast overlay, which name EDN structures, are
-// ignored), and the running engine is re-masked in place at every
-// epoch boundary exactly as LifetimeSweep does for the EDN.
-//
-// Per-shard process and traffic seeds derive from (opts.Seed, shards)
-// exactly as in LifetimeSweep, so running both sweeps with the same
-// Options churns the EDN and its counterpart through identically
-// distributed outages under identical per-input traffic replays — the
-// measured lifetime half of the equal-redundancy comparison.
-// lopts.Threshold <= 0 selects half the counterpart's own fault-free
-// mean-field bandwidth per input.
-func DilatedLifetimeSweep(dcfg dilated.Config, lopts LifetimeOptions, src LoadPattern, dopts dilatedsim.Options, opts Options, shards int) (DilatedLifetimeResult, error) {
-	opts = opts.withDefaults()
-	if lopts.Epochs <= 0 {
-		return DilatedLifetimeResult{}, fmt.Errorf("simulate: lifetime sweep needs a positive epoch count")
-	}
-	if lopts.EpochCycles <= 0 {
-		lopts.EpochCycles = 200
-	}
-	if lopts.Load <= 0 {
-		lopts.Load = 1
-	}
-	if lopts.Threshold <= 0 {
-		lopts.Threshold = 0.5 * dcfg.PA(lopts.Load) * lopts.Load
-	}
-	if src == nil {
-		src = UniformLoad
-	}
-	if dopts.Factory == nil {
-		dopts.Factory = opts.Factory
-	}
-	shards, err := normalizeShards(shards, 0)
-	if err != nil {
-		return DilatedLifetimeResult{}, err
-	}
-
-	// Seed derivation and merging are the shared core, so they match
-	// LifetimeSweep draw for draw and rule for rule.
-	m, err := runLifetimeShards(lopts, opts, shards, func(w int, procSeed, trafficSeed uint64) partialLifetime {
-		return runDilatedLifetimeShard(dcfg, lopts, src, dopts, opts, w, procSeed, trafficSeed)
-	})
-	if err != nil {
-		return DilatedLifetimeResult{}, err
-	}
-	return DilatedLifetimeResult{
-		Dilated:            dcfg,
-		MTBF:               lopts.Spec.MTBF,
-		MTTR:               lopts.Spec.MTTR,
-		Timing:             lopts.Spec.Timing,
-		Epochs:             lopts.Epochs,
-		EpochCycles:        lopts.EpochCycles,
-		Shards:             shards,
-		Threshold:          lopts.Threshold,
-		Depth:              dopts.Depth,
-		Policy:             dopts.Policy,
-		Bandwidth:          m.bandwidth,
-		Reachable:          m.reachable,
-		DeadFraction:       m.deadFrac,
-		LatencyP99:         m.p99,
-		Parked:             m.parked,
-		Injected:           m.totals.Injected,
-		Refused:            m.totals.Refused,
-		Delivered:          m.totals.Delivered,
-		Dropped:            m.totals.Dropped,
-		Stranded:           m.totals.Stranded,
-		LifetimeBandwidth:  m.lifetimeBandwidth,
-		DeliveredFraction:  m.deliveredFraction,
-		TimeBelowThreshold: m.timeBelowThreshold,
-		RecoveryHalfLife:   m.recoveryHalfLife,
-		Observed:           m.rep,
-	}, nil
-}
-
-// runDilatedLifetimeShard simulates one independent dilated lifetime —
-// the same epoch loop as the EDN shard (runLifetimeLoop), driving the
-// dilated engine through sub-wire churn.
-func runDilatedLifetimeShard(dcfg dilated.Config, lopts LifetimeOptions, src LoadPattern, dopts dilatedsim.Options, opts Options, w int, procSeed, trafficSeed uint64) partialLifetime {
-	churn, err := dilatedsim.NewChurn(dcfg, lopts.Spec.MTBF, lopts.Spec.MTTR, lopts.Spec.Timing, xrand.New(procSeed))
-	if err != nil {
-		return partialLifetime{err: err}
-	}
-	sd := dopts
-	sd.Faults = nil // the lifetime starts healthy; epochs swap masks in
-	net, err := dilatedsim.New(dcfg, sd)
-	if err != nil {
-		return partialLifetime{err: err}
-	}
-	ports := dcfg.Ports()
-	step := func() (reachable, deadFrac float64, err error) {
-		masks, err := dilatedsim.Compile(dcfg, churn.Step())
-		if err != nil {
-			return 0, 0, err
-		}
-		if err := net.UpdateFaults(masks); err != nil {
-			return 0, 0, err
-		}
-		return float64(masks.ReachableOutputs()) / float64(ports), churn.DeadFraction(), nil
-	}
-	return runLifetimeLoop(net, ports, ports, lopts, src(lopts.Load, xrand.New(trafficSeed)), opts.Warmup, lifetimeProbe(opts.Probe, lopts, w), step)
 }

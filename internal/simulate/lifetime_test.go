@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"edn/internal/dilated"
+	"edn/internal/dilatedsim"
 	"edn/internal/faults"
 	"edn/internal/lifecycle"
 	"edn/internal/queuesim"
@@ -29,7 +31,7 @@ func TestLifetimeSweepDeterministic(t *testing.T) {
 	qopts := queuesim.Options{Depth: 2, Policy: queuesim.Drop}
 	opts := Options{Warmup: 40, Seed: 7}
 	run := func() LifetimeResult {
-		r, err := LifetimeSweep(cfg, lopts, nil, qopts, opts, 3)
+		r, err := LifetimeSweep[LifetimeResult](EDN(cfg, qopts), lopts, nil, opts, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,19 +57,19 @@ func TestLifetimeSweepChurnDegradesBandwidth(t *testing.T) {
 	cfg := lifetimeCfg(t)
 	qopts := queuesim.Options{Depth: 2, Policy: queuesim.Drop}
 	opts := Options{Warmup: 50, Seed: 3}
-	healthy, err := LifetimeSweep(cfg, LifetimeOptions{
+	healthy, err := LifetimeSweep[LifetimeResult](EDN(cfg, qopts), LifetimeOptions{
 		Epochs:      10,
 		EpochCycles: 80,
 		Spec:        lifecycle.Spec{Mode: faults.WireFaults, MTBF: 1e9, MTTR: 1},
-	}, nil, qopts, opts, 2)
+	}, nil, opts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	churned, err := LifetimeSweep(cfg, LifetimeOptions{
+	churned, err := LifetimeSweep[LifetimeResult](EDN(cfg, qopts), LifetimeOptions{
 		Epochs:      10,
 		EpochCycles: 80,
 		Spec:        lifecycle.Spec{Mode: faults.WireFaults, MTBF: 8, MTTR: 8},
-	}, nil, qopts, opts, 2)
+	}, nil, opts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,12 +99,12 @@ func TestLifetimeSweepChurnDegradesBandwidth(t *testing.T) {
 
 func TestLifetimeSweepAggregates(t *testing.T) {
 	cfg := lifetimeCfg(t)
-	r, err := LifetimeSweep(cfg, LifetimeOptions{
+	r, err := LifetimeSweep[LifetimeResult](EDN(cfg, queuesim.Options{Depth: 2, Policy: queuesim.Drop}), LifetimeOptions{
 		Epochs:      8,
 		EpochCycles: 50,
 		Spec:        lifecycle.Spec{Mode: faults.WireFaults, MTBF: 10, MTTR: 5},
 		Threshold:   0.99, // everything is below an impossible threshold
-	}, nil, queuesim.Options{Depth: 2, Policy: queuesim.Drop}, Options{Warmup: 20, Seed: 5}, 2)
+	}, nil, Options{Warmup: 20, Seed: 5}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,12 +124,30 @@ func TestLifetimeSweepAggregates(t *testing.T) {
 
 func TestLifetimeSweepValidation(t *testing.T) {
 	cfg := lifetimeCfg(t)
-	if _, err := LifetimeSweep(cfg, LifetimeOptions{}, nil, queuesim.Options{Depth: 1}, Options{}, 1); err == nil {
+	if _, err := LifetimeSweep[LifetimeResult](EDN(cfg, queuesim.Options{Depth: 1}), LifetimeOptions{}, nil, Options{}, 1); err == nil {
 		t.Error("zero epochs should fail")
 	}
-	if _, err := LifetimeSweep(cfg, LifetimeOptions{
+	if _, err := LifetimeSweep[LifetimeResult](EDN(cfg, queuesim.Options{Depth: 1}), LifetimeOptions{
 		Epochs: 2, Spec: lifecycle.Spec{Mode: faults.WireFaults, MTBF: 0, MTTR: 5},
-	}, nil, queuesim.Options{Depth: 1}, Options{}, 1); err == nil {
+	}, nil, Options{}, 1); err == nil {
 		t.Error("invalid spec should fail")
+	}
+	// A load above 1 is not a request probability: it used to panic in
+	// the default-threshold analytic model on both fabrics.
+	dcfg, err := dilated.Counterpart(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	over := LifetimeOptions{Epochs: 2, Load: 3, Spec: lifecycle.Spec{Mode: faults.WireFaults, MTBF: 10, MTTR: 5}}
+	if _, err := LifetimeSweep[LifetimeResult](EDN(cfg, queuesim.Options{Depth: 1}), over, nil, Options{}, 1); err == nil {
+		t.Error("EDN load 3 should fail")
+	}
+	if _, err := LifetimeSweep[DilatedLifetimeResult](Dilated(dcfg, dilatedsim.Options{Depth: 1}), over, nil, Options{}, 1); err == nil {
+		t.Error("dilated load 3 should fail")
+	}
+	// A fabric measures its own result type only.
+	over.Load = 1
+	if _, err := LifetimeSweep[DilatedLifetimeResult](EDN(cfg, queuesim.Options{Depth: 1}), over, nil, Options{Cycles: 10}, 1); err == nil {
+		t.Error("an EDN lifetime read as a dilated result should fail")
 	}
 }

@@ -1,8 +1,20 @@
-// Package simulate drives Monte-Carlo experiments over the cycle-level
-// network of internal/core. The paper evaluates EDNs purely with closed
-// forms; this package provides the independent measurement side, so every
-// analytical figure in EXPERIMENTS.md can be cross-checked against a
-// discrete-event run with the identical switch semantics.
+// Package simulate drives Monte-Carlo experiments. The paper evaluates
+// EDNs purely with closed forms; this package provides the independent
+// measurement side, so every analytical figure in EXPERIMENTS.md can be
+// cross-checked against a discrete-event run with the identical switch
+// semantics.
+//
+// Two harnesses live here. The circuit-switched one (MeasurePA and its
+// relatives) drives the single-cycle router of internal/core. The
+// packet harness drives the queuesim engine over a Fabric — an EDN, or
+// the dilated delta that spends the same wire budget on replicated
+// links — with one function per measurement mode: latency, saturation
+// sweeps and points, the permutation drain, availability sweeps and
+// points, lifetimes, closed loops and their points, and closed-loop
+// lifetimes. Everything that differs between the two fabrics (wiring,
+// fault model, result label) sits behind Fabric in fabric.go, so the
+// shard fan-out, seeding, observation and merge code is written once
+// and the same Options replay the same traffic on either fabric.
 package simulate
 
 import (

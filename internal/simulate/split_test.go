@@ -58,16 +58,16 @@ func TestObservedSplitShardInvariant(t *testing.T) {
 	}
 	entries := map[string]func(opts Options, shards int) (any, []*probe.Report, error){
 		"SaturationSweep": func(opts Options, shards int) (any, []*probe.Report, error) {
-			return latency(SaturationSweep(cfg, loads, nil, queuesim.Options{Depth: 4}, opts, shards))
+			return latency(SaturationSweep(EDN(cfg, queuesim.Options{Depth: 4}), loads, nil, opts, shards))
 		},
 		"DilatedSaturationSweep": func(opts Options, shards int) (any, []*probe.Report, error) {
-			return latency(DilatedSaturationSweep(dcfg, loads, nil, dilatedsim.Options{Depth: 2, Policy: dilatedsim.Drop}, opts, shards))
+			return latency(SaturationSweep(Dilated(dcfg, dilatedsim.Options{Depth: 2, Policy: dilatedsim.Drop}), loads, nil, opts, shards))
 		},
 		"MeasureClosedLoop": func(opts Options, shards int) (any, []*probe.Report, error) {
-			return loop(MeasureClosedLoop(cfg, rates, lo, queuesim.Options{Depth: 1, Policy: queuesim.Drop}, opts, shards))
+			return loop(MeasureClosedLoop(EDN(cfg, queuesim.Options{Depth: 1, Policy: queuesim.Drop}), rates, lo, opts, shards))
 		},
 		"MeasureDilatedClosedLoop": func(opts Options, shards int) (any, []*probe.Report, error) {
-			return loop(MeasureDilatedClosedLoop(dcfg, rates, lo, dilatedsim.Options{Depth: 2}, opts, shards))
+			return loop(MeasureClosedLoop(Dilated(dcfg, dilatedsim.Options{Depth: 2}), rates, lo, opts, shards))
 		},
 	}
 	observers := []struct {

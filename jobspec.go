@@ -545,10 +545,53 @@ type compiledJob struct {
 	aopts  AvailabilityOptions // availability mode
 	lopts  LifetimeOptions     // lifetime modes
 	anat   *AnatomyOptions     // explain section, when requested
+	fab    simulate.Fabric     // the fabric the job drives (built after wireCache)
+	pair   simulate.Fabric     // the pair engine's dilated fabric
 	faults bool                // latency/estimate static fault sample requested
 	fmode  FaultMode           // its population (EDN engine)
 	ffrac  float64             // its death probability
 	fseed  uint64              // its sample seed
+}
+
+// checkRanges rejects numeric fields outside their domains before
+// anything runs: loads and rates are per-input request probabilities,
+// in [0,1], and cycle counts and histogram shapes cannot be negative
+// (zero keeps meaning "default").
+func (s JobSpec) checkRanges() error {
+	type field struct {
+		name string
+		v    float64
+	}
+	probs := []field{{"load", s.Load}}
+	for i, l := range s.Loads {
+		probs = append(probs, field{fmt.Sprintf("loads[%d]", i), l})
+	}
+	for i, r := range s.Rates {
+		probs = append(probs, field{fmt.Sprintf("rates[%d]", i), r})
+	}
+	counts := []field{{"sim.cycles", float64(s.Sim.Cycles)}, {"sim.warmup", float64(s.Sim.Warmup)}}
+	if s.Avail != nil {
+		probs = append(probs, field{"avail.load", s.Avail.Load})
+	}
+	if s.Lifetime != nil {
+		probs = append(probs, field{"lifetime.load", s.Lifetime.Load})
+		counts = append(counts, field{"lifetime.epoch_cycles", float64(s.Lifetime.EpochCycles)})
+	}
+	if s.Queue != nil {
+		counts = append(counts, field{"queue.latency_buckets", float64(s.Queue.LatencyBuckets)},
+			field{"queue.latency_bucket_width", s.Queue.LatencyBucketWidth})
+	}
+	for _, f := range probs {
+		if !(f.v >= 0 && f.v <= 1) {
+			return fmt.Errorf("edn: %s %g out of [0,1]", f.name, f.v)
+		}
+	}
+	for _, f := range counts {
+		if !(f.v >= 0) {
+			return fmt.Errorf("edn: %s %g is negative (0 selects the default)", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 func compileJob(s JobSpec) (*compiledJob, error) {
@@ -624,6 +667,9 @@ func compileJob(s JobSpec) (*compiledJob, error) {
 	j.shards = s.Sim.Shards
 	if j.shards < 0 {
 		return nil, fmt.Errorf("edn: shards %d is negative (0 selects GOMAXPROCS)", j.shards)
+	}
+	if err := s.checkRanges(); err != nil {
+		return nil, err
 	}
 	if s.Explain != nil {
 		switch s.Mode {

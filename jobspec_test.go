@@ -455,6 +455,57 @@ func TestJobSpecValidation(t *testing.T) {
 	}
 }
 
+// TestJobSpecRanges pins the numeric range checks: loads and rates
+// are probabilities, and cycle counts and histogram shapes cannot be
+// negative. The first two specs used to pass Validate and then panic
+// in the analytic model ("request rate 3 out of [0,1]"), which killed
+// an edn-serve worker and with it the daemon; the rest used to run
+// silently with the value clamped or defaulted. Each must now fail in
+// Validate with an error naming the field.
+func TestJobSpecRanges(t *testing.T) {
+	geo := &GeometrySpec{A: 4, B: 2, C: 2, L: 2}
+	life := func(l LifetimeSpec) *LifetimeSpec {
+		l.Epochs, l.MTBF, l.MTTR = 2, 10, 2
+		return &l
+	}
+	bad := []struct {
+		name  string
+		spec  JobSpec
+		field string
+	}{
+		{"lifetime-load-3", JobSpec{Mode: JobLifetime, Geometry: geo, Lifetime: life(LifetimeSpec{Load: 3})}, "lifetime.load"},
+		{"lifetime-load-3-dilated", JobSpec{Mode: JobLifetime, Engine: EngineDilated, Geometry: geo, Lifetime: life(LifetimeSpec{Load: 3})}, "lifetime.load"},
+		{"estimate-load-3", JobSpec{Mode: JobEstimate, Geometry: geo, Load: 3, Estimate: &EstimateSpec{Src: 1, Dst: 2}}, "load"},
+		{"loads-negative", JobSpec{Mode: JobSaturation, Geometry: geo, Loads: []float64{-0.5}}, "loads[0]"},
+		{"loads-above-1", JobSpec{Mode: JobSaturation, Geometry: geo, Loads: []float64{0.5, 1.7}}, "loads[1]"},
+		{"rates-above-1", JobSpec{Mode: JobClosedLoop, Geometry: geo, Rates: []float64{1.2}, Loop: &ClosedLoopSpec{}}, "rates[0]"},
+		{"avail-load-4", JobSpec{Mode: JobAvailability, Geometry: geo, Avail: &AvailabilitySpec{Fractions: []float64{0.1}, Load: 4}}, "avail.load"},
+		{"cycles-negative", JobSpec{Mode: JobLatency, Geometry: geo, Sim: SimSpec{Cycles: -100}}, "sim.cycles"},
+		{"warmup-negative", JobSpec{Mode: JobLatency, Geometry: geo, Sim: SimSpec{Warmup: -10}}, "sim.warmup"},
+		{"epoch-cycles-negative", JobSpec{Mode: JobLifetime, Geometry: geo, Lifetime: life(LifetimeSpec{EpochCycles: -20})}, "lifetime.epoch_cycles"},
+		{"latency-buckets-negative", JobSpec{Mode: JobLatency, Geometry: geo, Queue: &QueueSpec{LatencyBuckets: -3}}, "queue.latency_buckets"},
+		{"latency-bucket-width-negative", JobSpec{Mode: JobLatency, Geometry: geo, Queue: &QueueSpec{LatencyBucketWidth: -1}}, "queue.latency_bucket_width"},
+	}
+	for _, c := range bad {
+		t.Run(c.name, func(t *testing.T) {
+			err := c.spec.Validate()
+			if err == nil || !strings.Contains(err.Error(), "edn: "+c.field+" ") {
+				t.Fatalf("Validate = %v, want an error naming %q", err, c.field)
+			}
+		})
+	}
+	// The boundaries are valid, and zero keeps meaning "default".
+	for _, s := range []JobSpec{
+		{Mode: JobSaturation, Geometry: geo, Loads: []float64{0, 1}},
+		{Mode: JobLifetime, Engine: EngineDilated, Geometry: geo, Lifetime: life(LifetimeSpec{Load: 1})},
+		{Mode: JobLatency, Geometry: geo, Load: 1, Queue: &QueueSpec{}, Sim: SimSpec{}},
+	} {
+		if err := s.Validate(); err != nil {
+			t.Errorf("in-range spec %+v rejected: %v", s, err)
+		}
+	}
+}
+
 // TestTrafficHotRange pins the hotspot range checks: the traffic
 // sources reduce Hot modulo the output count, so Validate must reject a
 // hot output that does not exist (and a hot fraction that is not a

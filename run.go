@@ -140,6 +140,7 @@ func RunJob(ctx context.Context, spec JobSpec, ro RunOptions) (*JobResult, error
 	if err != nil {
 		return nil, err
 	}
+	j.buildFabrics()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -268,6 +269,21 @@ func (j *compiledJob) wireCache(c *GeometryCache, tr *SpanCollector) error {
 	return nil
 }
 
+// buildFabrics builds the fabrics the job drives from the compiled,
+// cache-wired options: the EDN or the dilated delta, or both for the
+// pair engine (EDN first).
+func (j *compiledJob) buildFabrics() {
+	edn, dil := simulate.EDN(j.cfg, j.qopts), simulate.Dilated(j.dcfg, j.dopts)
+	switch j.engine {
+	case EngineDilated:
+		j.fab = dil
+	case EnginePair:
+		j.fab, j.pair = edn, dil
+	default:
+		j.fab = edn
+	}
+}
+
 func cacheVerdict(c *GeometryCache, hit bool) string {
 	switch {
 	case c == nil:
@@ -292,14 +308,8 @@ func (j *compiledJob) runLatency(ro RunOptions, res *JobResult) error {
 	// One sharded measurement, seeded as point 0 of a one-load
 	// saturation sweep — so latency at Load is bit-for-bit
 	// SaturationSweep(cfg, []float64{Load}, ...)[0].
-	var r LatencyResult
-	var err error
 	ps := ro.Trace.Start("point", "index", "0", "load", formatAxis(j.load()))
-	if j.engine == EngineDilated {
-		r, err = simulate.DilatedSaturationPoint(j.dcfg, j.load(), 0, j.src, j.dopts, j.opts, j.shards)
-	} else {
-		r, err = simulate.SaturationPoint(j.cfg, j.load(), 0, j.src, j.qopts, j.opts, j.shards)
-	}
+	r, err := simulate.SaturationPoint(j.fab, j.load(), 0, j.src, j.opts, j.shards)
 	ro.Trace.End(ps)
 	if err != nil {
 		return err
@@ -310,111 +320,90 @@ func (j *compiledJob) runLatency(ro RunOptions, res *JobResult) error {
 }
 
 func (j *compiledJob) runSaturation(ctx context.Context, ro RunOptions, res *JobResult) error {
-	loads := j.spec.Loads
-	res.Points = make([]LatencyResult, 0, len(loads))
-	for i, load := range loads {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		var r LatencyResult
-		var err error
-		ps := ro.Trace.Start("point", "index", strconv.Itoa(i), "load", formatAxis(load))
-		if j.engine == EngineDilated {
-			r, err = simulate.DilatedSaturationPoint(j.dcfg, load, i, j.src, j.dopts, j.opts, j.shards)
-		} else {
-			r, err = simulate.SaturationPoint(j.cfg, load, i, j.src, j.qopts, j.opts, j.shards)
-		}
-		ro.Trace.End(ps)
-		if err != nil {
-			return err
-		}
-		res.Points = append(res.Points, r)
-		emit(ro, i, len(loads), r)
-	}
-	return nil
-}
-
-func (j *compiledJob) runDrain(ro RunOptions, res *JobResult) error {
-	var r DrainResult
 	var err error
-	ps := ro.Trace.Start("point", "index", "0")
-	if j.engine == EngineDilated {
-		r, err = DilatedDrainPermutations(j.dcfg, j.spec.DrainQ, j.dopts, j.opts)
-	} else {
-		r, err = DrainPermutations(j.cfg, j.spec.DrainQ, j.qopts, j.opts)
-	}
-	ro.Trace.End(ps)
-	if err != nil {
-		return err
-	}
-	res.Drain = &r
-	emit(ro, 0, 1, r)
-	return nil
+	res.Points, err = runPoints(ctx, ro, j.spec.Loads, "load", func(i int, load float64) (LatencyResult, error) {
+		return simulate.SaturationPoint(j.fab, load, i, j.src, j.opts, j.shards)
+	})
+	return err
 }
 
-func (j *compiledJob) runAvailability(ctx context.Context, ro RunOptions, res *JobResult) error {
-	fractions := j.aopts.Fractions
-	if j.engine == EngineDilated {
-		res.DilatedAvailability = make([]DilatedAvailabilityResult, 0, len(fractions))
-	} else {
-		res.Availability = make([]AvailabilityResult, 0, len(fractions))
-	}
-	for i, f := range fractions {
+// runPoints measures a sweep one point at a time: a point span per
+// point, each point streamed through ro.OnPoint as it completes, and
+// cancellation checked between points.
+func runPoints[R any](ctx context.Context, ro RunOptions, axis []float64, name string, point func(i int, x float64) (R, error)) ([]R, error) {
+	out := make([]R, 0, len(axis))
+	for i, x := range axis {
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
-		ps := ro.Trace.Start("point", "index", strconv.Itoa(i), "fraction", formatAxis(f))
-		if j.engine == EngineDilated {
-			r, err := simulate.DilatedAvailabilityPoint(j.dcfg, j.aopts, f, j.src, j.dopts, j.opts, j.shards)
-			ro.Trace.End(ps)
-			if err != nil {
-				return err
-			}
-			res.DilatedAvailability = append(res.DilatedAvailability, r)
-			emit(ro, i, len(fractions), r)
-		} else {
-			r, err := simulate.AvailabilityPoint(j.cfg, j.aopts, f, j.src, j.qopts, j.opts, j.shards)
-			ro.Trace.End(ps)
-			if err != nil {
-				return err
-			}
-			res.Availability = append(res.Availability, r)
-			emit(ro, i, len(fractions), r)
-		}
-	}
-	return nil
-}
-
-func (j *compiledJob) runLifetime(ro RunOptions, res *JobResult) error {
-	ps := ro.Trace.Start("point", "index", "0")
-	if j.engine == EngineDilated {
-		r, err := DilatedLifetimeSweep(j.dcfg, j.lopts, j.src, j.dopts, j.opts, j.shards)
+		ps := ro.Trace.Start("point", "index", strconv.Itoa(i), name, formatAxis(x))
+		r, err := point(i, x)
 		ro.Trace.End(ps)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		res.DilatedLifetime = &r
-		emit(ro, 0, 1, r)
-		return nil
+		out = append(out, r)
+		emit(ro, i, len(axis), r)
 	}
-	r, err := LifetimeSweep(j.cfg, j.lopts, j.src, j.qopts, j.opts, j.shards)
+	return out, nil
+}
+
+// runOnce measures a single-shot mode under one point span and streams
+// its result.
+func runOnce[R any](ro RunOptions, measure func() (R, error)) (*R, error) {
+	ps := ro.Trace.Start("point", "index", "0")
+	r, err := measure()
 	ro.Trace.End(ps)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	res.Lifetime = &r
 	emit(ro, 0, 1, r)
-	return nil
+	return &r, nil
+}
+
+func (j *compiledJob) runDrain(ro RunOptions, res *JobResult) (err error) {
+	res.Drain, err = runOnce(ro, func() (DrainResult, error) {
+		return simulate.DrainPermutations(j.fab, j.spec.DrainQ, j.opts)
+	})
+	return err
+}
+
+func (j *compiledJob) runAvailability(ctx context.Context, ro RunOptions, res *JobResult) (err error) {
+	if j.engine == EngineDilated {
+		res.DilatedAvailability, err = availabilityPoints[DilatedAvailabilityResult](ctx, ro, j)
+	} else {
+		res.Availability, err = availabilityPoints[AvailabilityResult](ctx, ro, j)
+	}
+	return err
+}
+
+func availabilityPoints[R simulate.AvailabilityKind](ctx context.Context, ro RunOptions, j *compiledJob) ([]R, error) {
+	return runPoints(ctx, ro, j.aopts.Fractions, "fraction", func(_ int, f float64) (R, error) {
+		return simulate.AvailabilityPoint[R](j.fab, j.aopts, f, j.src, j.opts, j.shards)
+	})
+}
+
+func (j *compiledJob) runLifetime(ro RunOptions, res *JobResult) (err error) {
+	if j.engine == EngineDilated {
+		res.DilatedLifetime, err = runOnce(ro, func() (DilatedLifetimeResult, error) {
+			return simulate.LifetimeSweep[DilatedLifetimeResult](j.fab, j.lopts, j.src, j.opts, j.shards)
+		})
+	} else {
+		res.Lifetime, err = runOnce(ro, func() (LifetimeResult, error) {
+			return simulate.LifetimeSweep[LifetimeResult](j.fab, j.lopts, j.src, j.opts, j.shards)
+		})
+	}
+	return err
 }
 
 func (j *compiledJob) runClosedLoop(ctx context.Context, ro RunOptions, res *JobResult) error {
 	rates := j.spec.Rates
 	if j.engine == EnginePair {
 		// The paired comparison asserts bit-equal offered demand across
-		// both engines at every rate, so it runs as one barriered call
+		// both fabrics at every rate, so it runs as one barriered call
 		// (its per-rate shard stages all land under one point span).
 		ps := ro.Trace.Start("point", "index", "0")
-		ednRes, dilRes, err := MeasureClosedLoopPair(j.cfg, j.dcfg, rates, j.lo, j.qopts, j.dopts, j.opts, j.shards)
+		ednRes, dilRes, err := simulate.MeasureClosedLoopPair(j.fab, j.pair, rates, j.lo, j.opts, j.shards)
 		ro.Trace.End(ps)
 		if err != nil {
 			return err
@@ -423,45 +412,18 @@ func (j *compiledJob) runClosedLoop(ctx context.Context, ro RunOptions, res *Job
 		emit(ro, 0, 1, res)
 		return nil
 	}
-	res.ClosedLoop = make([]ClosedLoopResult, 0, len(rates))
-	for i, rate := range rates {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		var r ClosedLoopResult
-		var err error
-		ps := ro.Trace.Start("point", "index", strconv.Itoa(i), "rate", formatAxis(rate))
-		if j.engine == EngineDilated {
-			r, err = simulate.DilatedClosedLoopPoint(j.dcfg, rate, i, j.lo, j.dopts, j.opts, j.shards)
-		} else {
-			r, err = simulate.ClosedLoopPoint(j.cfg, rate, i, j.lo, j.qopts, j.opts, j.shards)
-		}
-		ro.Trace.End(ps)
-		if err != nil {
-			return err
-		}
-		res.ClosedLoop = append(res.ClosedLoop, r)
-		emit(ro, i, len(rates), r)
-	}
-	return nil
+	var err error
+	res.ClosedLoop, err = runPoints(ctx, ro, rates, "rate", func(i int, rate float64) (ClosedLoopResult, error) {
+		return simulate.ClosedLoopPoint(j.fab, rate, i, j.lo, j.opts, j.shards)
+	})
+	return err
 }
 
-func (j *compiledJob) runClosedLoopLifetime(ro RunOptions, res *JobResult) error {
-	var r ClosedLoopLifetimeResult
-	var err error
-	ps := ro.Trace.Start("point", "index", "0")
-	if j.engine == EngineDilated {
-		r, err = DilatedClosedLoopLifetimeSweep(j.dcfg, j.lopts, j.lo, j.dopts, j.opts, j.shards)
-	} else {
-		r, err = ClosedLoopLifetimeSweep(j.cfg, j.lopts, j.lo, j.qopts, j.opts, j.shards)
-	}
-	ro.Trace.End(ps)
-	if err != nil {
-		return err
-	}
-	res.ClosedLoopLifetime = &r
-	emit(ro, 0, 1, r)
-	return nil
+func (j *compiledJob) runClosedLoopLifetime(ro RunOptions, res *JobResult) (err error) {
+	res.ClosedLoopLifetime, err = runOnce(ro, func() (ClosedLoopLifetimeResult, error) {
+		return simulate.ClosedLoopLifetimeSweep(j.fab, j.lopts, j.lo, j.opts, j.shards)
+	})
+	return err
 }
 
 func (j *compiledJob) runEstimate(ro RunOptions, res *JobResult) error {
@@ -487,7 +449,7 @@ func (j *compiledJob) runEstimate(ro RunOptions, res *JobResult) error {
 	}
 	if out.SrcLive && out.DstReachable {
 		ps := ro.Trace.Start("point", "index", "0", "load", formatAxis(load))
-		r, err := simulate.SaturationPoint(j.cfg, load, 0, j.src, j.qopts, j.opts, j.shards)
+		r, err := simulate.SaturationPoint(j.fab, load, 0, j.src, j.opts, j.shards)
 		ro.Trace.End(ps)
 		if err != nil {
 			return err
