@@ -10,7 +10,9 @@ import (
 // the other hot-path benchmarks use: the equal-redundancy dilated
 // deltas of the 1K-port MasPar router EDN(64,16,4,2) and the 4K-port
 // EDN(16,4,4,5). One op of the advance sub-benchmarks is one network
-// cycle under sustained uniform load; the swap sub-benchmarks prepend
+// cycle under sustained uniform load (0.9, or 0.1 for the sparse
+// low-load case, where most FIFOs are empty and the advance visits only
+// the occupied ones); the swap sub-benchmarks prepend
 // an UpdateFaults mask swap, alternating two 5%-dead-sub-wire masks and
 // the full repair so every swap direction is exercised. Like the
 // RouteCycleInto/QueueCycle/LifetimeEpoch families, every variant must
@@ -43,16 +45,18 @@ func BenchmarkDilatedQueueCycle(b *testing.B) {
 			name   string
 			depth  int
 			policy QueuePolicy
+			load   float64
 		}{
-			{"depth4-drop", 4, QueueDrop},
-			{"depth4-backpressure", 4, QueueBackpressure},
+			{"depth4-drop", 4, QueueDrop, 0.9},
+			{"depth4-backpressure", 4, QueueBackpressure, 0.9},
+			{"depth2-backpressure-load0.1", 2, QueueBackpressure, 0.1},
 		} {
 			b.Run(fmt.Sprintf("%s/%s/advance", g.name, qc.name), func(b *testing.B) {
-				benchmarkDilatedCycle(b, dcfg, DilatedQueueOptions{Depth: qc.depth, Policy: qc.policy}, nil)
+				benchmarkDilatedCycle(b, dcfg, DilatedQueueOptions{Depth: qc.depth, Policy: qc.policy}, qc.load, nil)
 			})
 		}
 		b.Run(fmt.Sprintf("%s/depth4-drop/swap", g.name), func(b *testing.B) {
-			benchmarkDilatedCycle(b, dcfg, DilatedQueueOptions{Depth: 4, Policy: QueueDrop}, masks)
+			benchmarkDilatedCycle(b, dcfg, DilatedQueueOptions{Depth: 4, Policy: QueueDrop}, 0.9, masks)
 		})
 	}
 }
@@ -66,16 +70,17 @@ func mustDilatedMasks(b *testing.B, cfg DilatedDelta, set DilatedFaultSet) *Dila
 	return m
 }
 
-// benchmarkDilatedCycle runs the steady-state loop; a non-nil mask
-// rotation swaps one in before every cycle (the LifetimeEpoch shape:
-// worst-case swap amortization, one cycle of dwell).
-func benchmarkDilatedCycle(b *testing.B, dcfg DilatedDelta, dopts DilatedQueueOptions, masks []*DilatedMasks) {
+// benchmarkDilatedCycle runs the steady-state loop at the given uniform
+// load; a non-nil mask rotation swaps one in before every cycle (the
+// LifetimeEpoch shape: worst-case swap amortization, one cycle of
+// dwell).
+func benchmarkDilatedCycle(b *testing.B, dcfg DilatedDelta, dopts DilatedQueueOptions, load float64, masks []*DilatedMasks) {
 	net, err := NewDilatedQueueNetwork(dcfg, dopts)
 	if err != nil {
 		b.Fatal(err)
 	}
 	rng := NewRand(7)
-	gen := Uniform{Rate: 0.9, Rng: rng}
+	gen := Uniform{Rate: load, Rng: rng}
 	dest := make([]int, dcfg.Ports())
 	// Reach ring steady state before the measured window.
 	for i := 0; i < 50; i++ {

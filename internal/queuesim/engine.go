@@ -3,6 +3,7 @@ package queuesim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"edn/internal/anatomy"
 	"edn/internal/core"
@@ -52,8 +53,11 @@ type stage struct {
 	liveCap []int32 // [sw*Buckets+bucket] live wires of the bucket under live
 }
 
-// Engine is the packet engine behind both fabrics. It is not safe for
-// concurrent use; the sweep harness builds one per shard.
+// Engine is the packet engine behind both fabrics. Its pipelined state
+// is one FIFO per stage-input wire plus an occupancy bitmap over them,
+// so a cycle's advance costs in proportion to the FIFOs holding packets
+// rather than to the wire count. It is not safe for concurrent use; the
+// sweep harness builds one per shard.
 type Engine struct {
 	name    string
 	opts    Options
@@ -63,8 +67,11 @@ type Engine struct {
 	outputs int
 
 	// Pipelined state (Depth != 0): one FIFO per stage-input wire, the
-	// wires of stage s at rings[st[s].base:].
+	// wires of stage s at rings[st[s].base:]. Bit i of occ is set exactly
+	// when rings[i] is non-empty: push sets it, and every pop that
+	// empties a ring clears it.
 	rings []ringbuf.Ring
+	occ   []uint64
 
 	// Fault availability, swapped between cycles by SetLive. liveIn
 	// masks the network inputs (nil = all live). deadRing (nil when every
@@ -181,6 +188,7 @@ func NewEngine(w Wiring, opts Options) (*Engine, error) {
 		return n, nil
 	}
 	n.rings = make([]ringbuf.Ring, total)
+	n.occ = make([]uint64, (total+63)/64)
 	if opts.Depth >= 1 {
 		// One flat backing array, power-of-two slots per ring, so the
 		// steady state never allocates and neighbors share cache lines.
@@ -286,7 +294,7 @@ func (n *Engine) refreshDeadRings() {
 			continue
 		}
 		for r.N > 0 {
-			pkt := r.Pop()
+			pkt := n.pop(i)
 			if n.probe != nil && pkt&ringbuf.TraceBit != 0 {
 				n.probe.Close(pkt, n.ringStage(i), probe.EvStrand, n.now)
 			}
@@ -499,7 +507,7 @@ func (n *Engine) Cycle(dest []int) (CycleStats, error) {
 			if n.probe != nil {
 				pkt = n.probe.TagInject(i, pkt, n.now)
 			}
-			r.Push(pkt)
+			n.push(i, pkt)
 			n.queued++
 			if n.anat != nil {
 				n.anat.Inject(i, i, d, n.now)
@@ -564,37 +572,82 @@ func (n *Engine) arbiterOrder(s, sw, width int) []int {
 	}
 }
 
+// push appends pkt to ring i and marks the ring occupied.
+func (n *Engine) push(i int, pkt uint64) {
+	n.rings[i].Push(pkt)
+	n.occ[i>>6] |= 1 << (i & 63)
+}
+
+// pop removes ring i's head packet, marking the ring empty when it was
+// the last one.
+func (n *Engine) pop(i int) uint64 {
+	r := &n.rings[i]
+	pkt := r.Pop()
+	if r.N == 0 {
+		n.occ[i>>6] &^= 1 << (i & 63)
+	}
+	return pkt
+}
+
 // advanceStage runs one cycle of stage s (0-based): head-of-line
-// arbitration per switch over the stage's input FIFOs, in natural order
-// under the fused priority default and in the switch arbiter's order
-// otherwise, each head then moving on through advanceHead.
+// arbitration per switch over the stage's input FIFOs, each head then
+// moving on through advanceHead. It walks the stage's occupancy bits in
+// ring order, skipping FIFOs parked on a dead wire (Drop strands them at
+// swap time). The first live occupied FIFO of a switch opens it: the
+// wire counts reset and, under a non-priority arbiter, the switch's
+// heads all advance in the arbiter's order; under the fused priority
+// default each head advances as the walk reaches it. Advancing a head
+// changes no other bit of the stage (pops touch its own ring, pushes
+// land in stage s+1, which has already advanced), so the walk may run
+// over a copy of each bitmap word, and every decision is the one a scan
+// of all the stage's FIFOs would make.
 func (n *Engine) advanceStage(s int, cs *CycleStats) {
 	st := &n.st[s]
+	lo, hi := st.base, st.base+st.Switches*st.Width
 	used := n.used[:st.Buckets]
-	for sw := 0; sw < st.Switches; sw++ {
-		swIn := st.base + sw*st.Width
-		var order []int
-		if !n.fastPriority {
-			busy := false
-			for i := swIn; i < swIn+st.Width && !busy; i++ {
-				busy = n.rings[i].N != 0 && (n.deadRing == nil || !n.deadRing[i])
-			}
-			if !busy {
-				continue
-			}
-			order = n.arbiterOrder(s, sw, st.Width)
+	sw, swEnd := -1, lo // the open switch, and one past its last ring
+	for wi := lo >> 6; wi<<6 < hi; wi++ {
+		w := n.occ[wi]
+		if wi<<6 < lo {
+			w &^= 1<<(lo&63) - 1
 		}
-		clear(used)
-		for idx := 0; idx < st.Width; idx++ {
-			i := swIn + idx
-			if order != nil {
-				i = swIn + order[idx]
-			}
-			if n.rings[i].N == 0 || (n.deadRing != nil && n.deadRing[i]) {
-				continue // idle, or parked on a dead wire (Drop strands at swap time)
-			}
-			n.advanceHead(s, st, sw, i, cs)
+		if (wi+1)<<6 > hi {
+			w &= 1<<(hi&63) - 1
 		}
+		for ; w != 0; w &= w - 1 {
+			i := wi<<6 + bits.TrailingZeros64(w)
+			if n.deadRing != nil && n.deadRing[i] {
+				continue // parked on a dead wire
+			}
+			if i >= swEnd {
+				sw = (i - lo) / st.Width
+				swEnd = lo + (sw+1)*st.Width
+				clear(used)
+				if !n.fastPriority {
+					n.advanceArbitrated(s, st, sw, cs)
+				}
+			}
+			if n.fastPriority {
+				n.advanceHead(s, st, sw, i, cs)
+			}
+		}
+	}
+}
+
+// advanceArbitrated advances every live occupied head of switch sw of
+// stage s in the switch arbiter's order.
+func (n *Engine) advanceArbitrated(s int, st *stage, sw int, cs *CycleStats) {
+	swIn := st.base + sw*st.Width
+	order := n.arbiterOrder(s, sw, st.Width)
+	for idx := 0; idx < st.Width; idx++ {
+		i := swIn + idx
+		if order != nil {
+			i = swIn + order[idx]
+		}
+		if n.rings[i].N == 0 || (n.deadRing != nil && n.deadRing[i]) {
+			continue
+		}
+		n.advanceHead(s, st, sw, i, cs)
 	}
 }
 
@@ -606,8 +659,7 @@ func (n *Engine) advanceStage(s int, cs *CycleStats) {
 // alike. A head that cannot advance is dropped (Drop), parked (its
 // bucket has no live wire) or blocked.
 func (n *Engine) advanceHead(s int, st *stage, sw, i int, cs *CycleStats) {
-	r := &n.rings[i]
-	pkt := r.Peek()
+	pkt := n.rings[i].Peek()
 	d := int((uint32(pkt) >> st.Shift) & st.Mask)
 	last := s == len(n.st)-1
 	blocker := -1 // anatomy node to blame: first full FIFO, or the terminal
@@ -618,7 +670,7 @@ func (n *Engine) advanceHead(s int, st *stage, sw, i int, cs *CycleStats) {
 			continue // dead wire: permanently unusable, skip it
 		}
 		if last {
-			r.Pop()
+			n.pop(i)
 			n.retire(pkt, cs)
 			if n.anat != nil {
 				n.anat.Deliver(i, n.now)
@@ -629,9 +681,9 @@ func (n *Engine) advanceHead(s int, st *stage, sw, i int, cs *CycleStats) {
 			o = int(st.Table[o])
 		}
 		down := n.st[s+1].base + o
-		if dr := &n.rings[down]; dr.HasSpace(n.opts.Depth) {
-			r.Pop()
-			dr.Push(pkt)
+		if n.rings[down].HasSpace(n.opts.Depth) {
+			n.pop(i)
+			n.push(down, pkt)
 			if n.probe != nil {
 				n.probe.Hop(pkt, s+1, probe.EvTraverse, n.now)
 			}
@@ -650,7 +702,7 @@ func (n *Engine) advanceHead(s int, st *stage, sw, i int, cs *CycleStats) {
 	}
 	switch {
 	case n.drop:
-		r.Pop()
+		n.pop(i)
 		n.queued--
 		cs.Dropped++
 		n.perStage[s]++

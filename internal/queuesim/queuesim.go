@@ -20,6 +20,14 @@
 // per-cycle advance is allocation-free in steady state for bounded
 // depths (BenchmarkQueueCycle pins this at 0 allocs/op).
 //
+// Beside its FIFOs the engine keeps an occupancy bitmap, one bit per
+// stage-input wire, set exactly while that wire's FIFO holds a packet.
+// A stage advances by walking its set bits in wire order, so a cycle
+// costs in proportion to the occupied FIFOs rather than the wire count.
+// Under windowed request/response traffic almost every FIFO is empty,
+// and the walk makes the same decisions in the same order as a scan of
+// every FIFO would.
+//
 // Depth semantics tie the family together:
 //
 //   - Depth >= 1: bounded per-wire FIFOs. A packet advances only onto an

@@ -555,8 +555,9 @@ type compiledJob struct {
 
 // checkRanges rejects numeric fields outside their domains before
 // anything runs: loads and rates are per-input request probabilities,
-// in [0,1], and cycle counts and histogram shapes cannot be negative
-// (zero keeps meaning "default").
+// in [0,1]; the queue depth is >= -1; and cycle counts, histogram
+// shapes, SLA bounds and every integer knob of the probe, explain and
+// loop sections cannot be negative (zero keeps meaning "default").
 func (s JobSpec) checkRanges() error {
 	type field struct {
 		name string
@@ -577,9 +578,36 @@ func (s JobSpec) checkRanges() error {
 		probs = append(probs, field{"lifetime.load", s.Lifetime.Load})
 		counts = append(counts, field{"lifetime.epoch_cycles", float64(s.Lifetime.EpochCycles)})
 	}
-	if s.Queue != nil {
-		counts = append(counts, field{"queue.latency_buckets", float64(s.Queue.LatencyBuckets)},
-			field{"queue.latency_bucket_width", s.Queue.LatencyBucketWidth})
+	if q := s.Queue; q != nil {
+		if q.Depth < QueueUnbounded {
+			return fmt.Errorf("edn: queue.depth %d invalid (want >= 1, 0, or -1 for unbounded)", q.Depth)
+		}
+		counts = append(counts, field{"queue.latency_buckets", float64(q.LatencyBuckets)},
+			field{"queue.latency_bucket_width", q.LatencyBucketWidth})
+	}
+	if p := s.Probe; p != nil {
+		counts = append(counts, field{"probe.sample_every", float64(p.SampleEvery)},
+			field{"probe.trace_cap", float64(p.TraceCap)},
+			field{"probe.max_hops", float64(p.MaxHops)},
+			field{"probe.bins", float64(p.Bins)})
+	}
+	if e := s.Explain; e != nil {
+		counts = append(counts, field{"explain.top_k", float64(e.TopK)},
+			field{"explain.hist_buckets", float64(e.HistBuckets)},
+			field{"explain.hist_bucket_width", e.HistBucketWidth})
+	}
+	if l := s.Loop; l != nil {
+		counts = append(counts, field{"loop.window", float64(l.Window)},
+			field{"loop.service_cycles", float64(l.ServiceCycles)},
+			field{"loop.timeout", float64(l.Timeout)},
+			field{"loop.max_attempts", float64(l.MaxAttempts)},
+			field{"loop.backoff_base", float64(l.BackoffBase)},
+			field{"loop.backoff_cap", float64(l.BackoffCap)},
+			field{"loop.max_backlog", float64(l.MaxBacklog)},
+			field{"loop.sla_zero", l.SLAZero},
+			field{"loop.sla_deadline", l.SLADeadline},
+			field{"loop.latency_buckets", float64(l.LatencyBuckets)},
+			field{"loop.latency_bucket_width", l.LatencyBucketWidth})
 	}
 	for _, f := range probs {
 		if !(f.v >= 0 && f.v <= 1) {

@@ -456,17 +456,30 @@ func TestJobSpecValidation(t *testing.T) {
 }
 
 // TestJobSpecRanges pins the numeric range checks: loads and rates
-// are probabilities, and cycle counts and histogram shapes cannot be
-// negative. The first two specs used to pass Validate and then panic
-// in the analytic model ("request rate 3 out of [0,1]"), which killed
-// an edn-serve worker and with it the daemon; the rest used to run
-// silently with the value clamped or defaulted. Each must now fail in
-// Validate with an error naming the field.
+// are probabilities, the queue depth is at least -1, and cycle counts,
+// histogram shapes, SLA bounds and the probe, explain and loop knobs
+// cannot be negative. The first two specs used to pass Validate and
+// then panic in the analytic model ("request rate 3 out of [0,1]"),
+// which killed an edn-serve worker and with it the daemon; the
+// negative probe bins, trace_cap and max_hops specs used to panic in
+// makeslice on a shard goroutine, killing the process; queue.depth -2
+// failed only at run time; the rest used to run silently with the value
+// clamped or defaulted. Each must now fail in Validate with an error
+// naming the field.
 func TestJobSpecRanges(t *testing.T) {
 	geo := &GeometrySpec{A: 4, B: 2, C: 2, L: 2}
 	life := func(l LifetimeSpec) *LifetimeSpec {
 		l.Epochs, l.MTBF, l.MTTR = 2, 10, 2
 		return &l
+	}
+	probed := func(p ProbeSpec) JobSpec {
+		return JobSpec{Mode: JobLatency, Geometry: geo, Load: 0.5, Queue: &QueueSpec{Depth: 2}, Probe: &p}
+	}
+	explained := func(e ExplainSpec) JobSpec {
+		return JobSpec{Mode: JobLatency, Geometry: geo, Load: 0.5, Queue: &QueueSpec{Depth: 2}, Explain: &e}
+	}
+	looped := func(l ClosedLoopSpec) JobSpec {
+		return JobSpec{Mode: JobClosedLoop, Geometry: geo, Rates: []float64{0.3}, Queue: &QueueSpec{Depth: 2}, Loop: &l}
 	}
 	bad := []struct {
 		name  string
@@ -485,6 +498,25 @@ func TestJobSpecRanges(t *testing.T) {
 		{"epoch-cycles-negative", JobSpec{Mode: JobLifetime, Geometry: geo, Lifetime: life(LifetimeSpec{EpochCycles: -20})}, "lifetime.epoch_cycles"},
 		{"latency-buckets-negative", JobSpec{Mode: JobLatency, Geometry: geo, Queue: &QueueSpec{LatencyBuckets: -3}}, "queue.latency_buckets"},
 		{"latency-bucket-width-negative", JobSpec{Mode: JobLatency, Geometry: geo, Queue: &QueueSpec{LatencyBucketWidth: -1}}, "queue.latency_bucket_width"},
+		{"queue-depth-minus-2", JobSpec{Mode: JobLatency, Geometry: geo, Queue: &QueueSpec{Depth: -2}}, "queue.depth"},
+		{"probe-sample-every-negative", probed(ProbeSpec{SampleEvery: -1}), "probe.sample_every"},
+		{"probe-trace-cap-negative", probed(ProbeSpec{SampleEvery: 1, TraceCap: -1}), "probe.trace_cap"},
+		{"probe-max-hops-negative", probed(ProbeSpec{SampleEvery: 1, MaxHops: -1}), "probe.max_hops"},
+		{"probe-bins-negative", probed(ProbeSpec{Bins: -1}), "probe.bins"},
+		{"explain-top-k-negative", explained(ExplainSpec{TopK: -1}), "explain.top_k"},
+		{"explain-hist-buckets-negative", explained(ExplainSpec{HistBuckets: -1}), "explain.hist_buckets"},
+		{"explain-hist-bucket-width-negative", explained(ExplainSpec{HistBucketWidth: -1}), "explain.hist_bucket_width"},
+		{"loop-window-negative", looped(ClosedLoopSpec{Window: -1}), "loop.window"},
+		{"loop-service-cycles-negative", looped(ClosedLoopSpec{ServiceCycles: -1}), "loop.service_cycles"},
+		{"loop-timeout-negative", looped(ClosedLoopSpec{Timeout: -1}), "loop.timeout"},
+		{"loop-max-attempts-negative", looped(ClosedLoopSpec{MaxAttempts: -1}), "loop.max_attempts"},
+		{"loop-backoff-base-negative", looped(ClosedLoopSpec{BackoffBase: -1}), "loop.backoff_base"},
+		{"loop-backoff-cap-negative", looped(ClosedLoopSpec{BackoffCap: -1}), "loop.backoff_cap"},
+		{"loop-max-backlog-negative", looped(ClosedLoopSpec{MaxBacklog: -1}), "loop.max_backlog"},
+		{"loop-sla-zero-negative", looped(ClosedLoopSpec{SLAZero: -1}), "loop.sla_zero"},
+		{"loop-sla-deadline-negative", looped(ClosedLoopSpec{SLADeadline: -1}), "loop.sla_deadline"},
+		{"loop-latency-buckets-negative", looped(ClosedLoopSpec{LatencyBuckets: -1}), "loop.latency_buckets"},
+		{"loop-latency-bucket-width-negative", looped(ClosedLoopSpec{LatencyBucketWidth: -1}), "loop.latency_bucket_width"},
 	}
 	for _, c := range bad {
 		t.Run(c.name, func(t *testing.T) {
@@ -499,11 +531,102 @@ func TestJobSpecRanges(t *testing.T) {
 		{Mode: JobSaturation, Geometry: geo, Loads: []float64{0, 1}},
 		{Mode: JobLifetime, Engine: EngineDilated, Geometry: geo, Lifetime: life(LifetimeSpec{Load: 1})},
 		{Mode: JobLatency, Geometry: geo, Load: 1, Queue: &QueueSpec{}, Sim: SimSpec{}},
+		{Mode: JobLatency, Geometry: geo, Load: 1, Queue: &QueueSpec{Depth: -1}},
+		probed(ProbeSpec{}),
+		explained(ExplainSpec{}),
+		looped(ClosedLoopSpec{}),
 	} {
 		if err := s.Validate(); err != nil {
 			t.Errorf("in-range spec %+v rejected: %v", s, err)
 		}
 	}
+}
+
+// fuzzKnobs are the JobSpec integer fields FuzzJobSpecValidate drives,
+// in the order its knob bytes fill them.
+var fuzzKnobs = []func(s *JobSpec, v int){
+	func(s *JobSpec, v int) { s.Queue.Depth = v },
+	func(s *JobSpec, v int) { s.Queue.LatencyBuckets = v },
+	func(s *JobSpec, v int) { s.Queue.LatencyBucketWidth = float64(v) },
+	func(s *JobSpec, v int) { s.Probe.SampleEvery = v },
+	func(s *JobSpec, v int) { s.Probe.TraceCap = v },
+	func(s *JobSpec, v int) { s.Probe.MaxHops = v },
+	func(s *JobSpec, v int) { s.Probe.Bins = v },
+	func(s *JobSpec, v int) { s.Explain.TopK = v },
+	func(s *JobSpec, v int) { s.Explain.HistBuckets = v },
+	func(s *JobSpec, v int) { s.Explain.HistBucketWidth = float64(v) },
+	func(s *JobSpec, v int) { s.Loop.Window = v },
+	func(s *JobSpec, v int) { s.Loop.ServiceCycles = v },
+	func(s *JobSpec, v int) { s.Loop.Timeout = v },
+	func(s *JobSpec, v int) { s.Loop.MaxAttempts = v },
+	func(s *JobSpec, v int) { s.Loop.BackoffBase = v },
+	func(s *JobSpec, v int) { s.Loop.BackoffCap = v },
+	func(s *JobSpec, v int) { s.Loop.MaxBacklog = v },
+	func(s *JobSpec, v int) { s.Loop.SLAZero = float64(v) },
+	func(s *JobSpec, v int) { s.Loop.SLADeadline = float64(v) },
+	func(s *JobSpec, v int) { s.Loop.LatencyBuckets = v },
+	func(s *JobSpec, v int) { s.Loop.LatencyBucketWidth = float64(v) },
+}
+
+// fuzzSpec builds the EDN(4,2,2,2) job FuzzJobSpecValidate runs: mode
+// picks saturation, closed loop or lifetime, and knob byte k, read as a
+// signed integer wrapped into [-64, 64], fills fuzzKnobs[k] (missing
+// bytes leave the field zero, its default).
+func fuzzSpec(mode uint8, knobs []byte) JobSpec {
+	s := JobSpec{
+		Geometry: &GeometrySpec{A: 4, B: 2, C: 2, L: 2},
+		Queue:    &QueueSpec{},
+		Probe:    &ProbeSpec{Seed: 5},
+		Explain:  &ExplainSpec{},
+		Loop:     &ClosedLoopSpec{},
+		Sim:      SimSpec{Cycles: 50, Warmup: 10, Seed: 3, Shards: 2},
+	}
+	for k, b := range knobs {
+		if k < len(fuzzKnobs) {
+			fuzzKnobs[k](&s, int(int8(b))%65)
+		}
+	}
+	switch mode % 3 {
+	case 0:
+		s.Mode, s.Loads = JobSaturation, []float64{0.5}
+	case 1:
+		s.Mode, s.Rates = JobClosedLoop, []float64{0.3}
+	default:
+		// Lifetime runs Epochs x EpochCycles = 50 cycles and takes no
+		// explain section.
+		s.Mode, s.Explain, s.Sim.Cycles = JobLifetime, nil, 0
+		s.Lifetime = &LifetimeSpec{Epochs: 2, EpochCycles: 25, Load: 0.5, MTBF: 4, MTTR: 2}
+	}
+	return s
+}
+
+// FuzzJobSpecValidate checks that Validate is the only gate a spec's
+// numeric knobs need: whatever small signed values fill the queue,
+// probe, explain and loop sections, either Validate rejects the spec or
+// Run completes without panicking. The seeds are the three specs that
+// used to pass Validate and then kill the process with a makeslice
+// panic on a shard goroutine.
+func FuzzJobSpecValidate(f *testing.F) {
+	knobs := func(kv map[int]int8) []byte {
+		b := make([]byte, len(fuzzKnobs))
+		for k, v := range kv {
+			b[k] = byte(v)
+		}
+		return b
+	}
+	f.Add(uint8(0), knobs(map[int]int8{0: 2, 6: -1}))        // probe bins -1
+	f.Add(uint8(0), knobs(map[int]int8{0: 2, 3: 1, 4: -1}))  // probe trace_cap -1
+	f.Add(uint8(1), knobs(map[int]int8{0: 2, 3: 1, 5: -1}))  // probe max_hops -1
+	f.Add(uint8(2), knobs(map[int]int8{0: -1, 3: 2, 4: 16})) // unbounded lifetime, traced
+	f.Fuzz(func(t *testing.T, mode uint8, knobs []byte) {
+		s := fuzzSpec(mode, knobs)
+		if s.Validate() != nil {
+			return
+		}
+		// A run may still fail cleanly (an error, not a panic); the
+		// property is only that a validated spec cannot crash it.
+		_, _ = RunJob(context.Background(), s, RunOptions{OnExplain: func(*AnatomyReport) {}})
+	})
 }
 
 // TestTrafficHotRange pins the hotspot range checks: the traffic
