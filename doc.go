@@ -22,12 +22,13 @@
 //     Section 5.1 model.
 //   - Simulation: Network routes cycle-level request batches; the
 //     Measure* helpers, SimulateMIMD and RoutePermutation drive
-//     Monte-Carlo experiments that cross-check every closed form. The
-//     cycle engine is table driven: interstage gamma permutations are
-//     precomputed as flat lookup tables, destination tags are decomposed
-//     into per-stage digits once per cycle, and RouteCycleInto plus the
-//     traffic IntoGenerator fast path let steady-state measurement loops
-//     run with zero allocations per cycle (see BenchmarkRouteCycleInto).
+//     Monte-Carlo experiments that cross-check every closed form.
+//     Network is the EDN's wiring (stages, buckets, flat interstage
+//     tables) run by the repository's one circuit-switched kernel, the
+//     same kernel QueueNetwork and DilatedQueueNetwork run at depth 0;
+//     RouteCycleInto plus the traffic IntoGenerator fast path let
+//     steady-state measurement loops run with zero allocations per
+//     cycle (see BenchmarkRouteCycleInto).
 //   - Queueing: QueueNetwork is the buffered packet-level simulator the
 //     paper's memoryless model cannot express — per-wire FIFOs of
 //     configurable depth at every stage input, head-of-line arbitration,
@@ -39,7 +40,7 @@
 //     MarkovOnOff / MovingHotSpot sources supply the temporally
 //     correlated load that makes queues interesting. The depth-1 Drop
 //     configuration is pinned bit-for-bit to the unbuffered Network;
-//     the advance loop is allocation-free for bounded depths
+//     the cycle is allocation-free for bounded depths and at depth 0
 //     (BenchmarkQueueCycle). See cmd/edn-latency for the CLI.
 //   - Fault tolerance and lifecycle: FaultSet/CompileFaults turn dead
 //     switches, wires and ports into per-stage availability masks both

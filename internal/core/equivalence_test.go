@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"edn/internal/faults"
 	"edn/internal/switchfab"
 	"edn/internal/topology"
 	"edn/internal/xrand"
@@ -16,15 +17,19 @@ import (
 // switch arbitration — and the equivalence suite asserts bit-identical
 // Outcomes and CycleStats between it, RouteCycleInto and the RouteCycle
 // wrapper, across geometries, request loads, seeds and every arbiter
-// factory.
+// factory. The seed had no fault masks; the reference adds them per
+// request, as plainly as possible (see refMaskedRoute), so faulted
+// networks are pinned against it too.
 
 type referenceEngine struct {
 	cfg     topology.Config
 	factory ArbiterFactory
 	arbs    [][]switchfab.Arbiter
+	liveIn  []bool   // nil = every input live
+	live    [][]bool // [stage-1] output-label availability; nil row = fully live
 }
 
-func newReferenceEngine(cfg topology.Config, factory ArbiterFactory) *referenceEngine {
+func newReferenceEngine(cfg topology.Config, factory ArbiterFactory, m *faults.Masks) *referenceEngine {
 	if factory == nil {
 		factory = PriorityArbiters
 	}
@@ -32,7 +37,39 @@ func newReferenceEngine(cfg topology.Config, factory ArbiterFactory) *referenceE
 	for s := 1; s <= cfg.Stages(); s++ {
 		arbs[s-1] = make([]switchfab.Arbiter, cfg.SwitchesInStage(s))
 	}
-	return &referenceEngine{cfg: cfg, factory: factory, arbs: arbs}
+	e := &referenceEngine{cfg: cfg, factory: factory, arbs: arbs, live: make([][]bool, cfg.Stages())}
+	if !m.Empty() {
+		e.liveIn = m.LiveInputs()
+		for s := range e.live {
+			e.live[s] = m.LiveStageOutputs(s + 1)
+		}
+	}
+	return e
+}
+
+// refMaskedRoute arbitrates one switch whose output labels are masked
+// by live: in the arbiter's order, each request walks its bucket's
+// wires from the bucket's cursor, consuming every dead wire it passes,
+// and takes the first live one; a request that runs off the end of its
+// bucket is rejected (Idle).
+func refMaskedRoute(digits []int, arb switchfab.Arbiter, buckets, capacity int, live []bool) []int {
+	out := make([]int, len(digits))
+	cursor := make([]int, buckets)
+	for _, p := range arb.Order(len(digits)) {
+		out[p] = switchfab.Idle
+		d := digits[p]
+		if d == switchfab.Idle {
+			continue
+		}
+		for cursor[d] < capacity && !live[d*capacity+cursor[d]] {
+			cursor[d]++
+		}
+		if cursor[d] < capacity {
+			out[p] = d*capacity + cursor[d]
+			cursor[d]++
+		}
+	}
+	return out
 }
 
 // arbiter reproduces the seed's lazy busy-switch-only instantiation, so
@@ -70,8 +107,14 @@ func (e *referenceEngine) routeCycle(dest []int) ([]Outcome, CycleStats, error) 
 		if d < 0 || d >= cfg.Outputs() {
 			return nil, CycleStats{}, fmt.Errorf("core: input %d requests output %d out of range [0,%d)", i, d, cfg.Outputs())
 		}
-		line[i] = i
 		stats.Offered++
+		if e.liveIn != nil && !e.liveIn[i] {
+			line[i] = NoRequest
+			outcomes[i] = Outcome{Output: NoRequest, BlockedStage: 1}
+			stats.Blocked[0]++
+			continue
+		}
+		line[i] = i
 	}
 
 	maxW := cfg.Inputs()
@@ -114,9 +157,15 @@ func (e *referenceEngine) routeCycle(dest []int) ([]Outcome, CycleStats, error) 
 			if !busy {
 				continue
 			}
-			grants, _, err := hb.Route(digits[:cfg.A], e.arbiter(s, sw))
-			if err != nil {
-				return nil, CycleStats{}, fmt.Errorf("core: stage %d switch %d: %w", s, sw, err)
+			var grants []int
+			if live := e.live[s-1]; live != nil {
+				bc := cfg.B * cfg.C
+				grants = refMaskedRoute(digits[:cfg.A], e.arbiter(s, sw), cfg.B, cfg.C, live[sw*bc:(sw+1)*bc])
+			} else {
+				var err error
+				if grants, _, err = hb.Route(digits[:cfg.A], e.arbiter(s, sw)); err != nil {
+					return nil, CycleStats{}, fmt.Errorf("core: stage %d switch %d: %w", s, sw, err)
+				}
 			}
 			for p, o := range grants {
 				owner := lineOwner[base+p]
@@ -156,9 +205,14 @@ func (e *referenceEngine) routeCycle(dest []int) ([]Outcome, CycleStats, error) 
 		if !busy {
 			continue
 		}
-		grants, _, err := xb.Route(digits[:cfg.C], e.arbiter(lastStage, sw))
-		if err != nil {
-			return nil, CycleStats{}, fmt.Errorf("core: crossbar %d: %w", sw, err)
+		var grants []int
+		if live := e.live[lastStage-1]; live != nil {
+			grants = refMaskedRoute(digits[:cfg.C], e.arbiter(lastStage, sw), cfg.C, 1, live[base:base+cfg.C])
+		} else {
+			var err error
+			if grants, _, err = xb.Route(digits[:cfg.C], e.arbiter(lastStage, sw)); err != nil {
+				return nil, CycleStats{}, fmt.Errorf("core: crossbar %d: %w", sw, err)
+			}
 		}
 		for p, o := range grants {
 			owner := lineOwner[base+p]
@@ -215,57 +269,70 @@ func TestRouteCycleEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, fc := range equivalenceFactories() {
-			for seed := uint64(1); seed <= 3; seed++ {
-				t.Run(fmt.Sprintf("%v/%s/seed%d", cfg, fc.name, seed), func(t *testing.T) {
-					ref := newReferenceEngine(cfg, fc.make(seed))
-					into, err := NewNetwork(cfg, fc.make(seed))
-					if err != nil {
-						t.Fatal(err)
-					}
-					wrapper, err := NewNetwork(cfg, fc.make(seed))
-					if err != nil {
-						t.Fatal(err)
-					}
-
-					trafficRng := xrand.New(seed * 977)
-					dest := make([]int, cfg.Inputs())
-					intoOut := make([]Outcome, cfg.Inputs())
-					rates := []float64{0, 0.25, 0.6, 1}
-					for trial := 0; trial < 12; trial++ {
-						rate := rates[trial%len(rates)]
-						for i := range dest {
-							if trafficRng.Bool(rate) {
-								dest[i] = trafficRng.Intn(cfg.Outputs())
-							} else {
-								dest[i] = NoRequest
-							}
-						}
-						wantOut, wantStats, err := ref.routeCycle(dest)
-						if err != nil {
-							t.Fatal(err)
-						}
-
-						// Dirty the reused outcome buffers to prove every
-						// slot is rewritten each cycle.
-						for i := range intoOut {
-							intoOut[i] = Outcome{Output: -99, BlockedStage: -99}
-						}
-						gotStats, err := into.RouteCycleInto(dest, intoOut)
-						if err != nil {
-							t.Fatal(err)
-						}
-						compareCycle(t, trial, "RouteCycleInto", wantOut, wantStats, intoOut, gotStats)
-
-						wOut, wStats, err := wrapper.RouteCycle(dest)
-						if err != nil {
-							t.Fatal(err)
-						}
-						compareCycle(t, trial, "RouteCycle", wantOut, wantStats, wOut, wStats)
-					}
-				})
+		for _, fraction := range []float64{0, 0.15} {
+			m := faults.MustCompile(cfg, faults.Bernoulli(cfg, faults.MixedFaults, fraction, xrand.New(7)))
+			suffix := ""
+			if fraction > 0 {
+				suffix = fmt.Sprintf("/faults%g", fraction)
+			}
+			for _, fc := range equivalenceFactories() {
+				for seed := uint64(1); seed <= 3; seed++ {
+					t.Run(fmt.Sprintf("%v/%s/seed%d%s", cfg, fc.name, seed, suffix), func(t *testing.T) {
+						testEquivalence(t, cfg, fc, seed, m)
+					})
+				}
 			}
 		}
+	}
+}
+
+// testEquivalence drives the reference, RouteCycleInto and the
+// RouteCycle wrapper, all under masks m, with one traffic stream.
+func testEquivalence(t *testing.T, cfg topology.Config, fc factoryCase, seed uint64, m *faults.Masks) {
+	ref := newReferenceEngine(cfg, fc.make(seed), m)
+	into, err := NewNetworkWithFaults(cfg, fc.make(seed), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrapper, err := NewNetworkWithFaults(cfg, fc.make(seed), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	trafficRng := xrand.New(seed * 977)
+	dest := make([]int, cfg.Inputs())
+	intoOut := make([]Outcome, cfg.Inputs())
+	rates := []float64{0, 0.25, 0.6, 1}
+	for trial := 0; trial < 12; trial++ {
+		rate := rates[trial%len(rates)]
+		for i := range dest {
+			if trafficRng.Bool(rate) {
+				dest[i] = trafficRng.Intn(cfg.Outputs())
+			} else {
+				dest[i] = NoRequest
+			}
+		}
+		wantOut, wantStats, err := ref.routeCycle(dest)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// Dirty the reused outcome buffers to prove every
+		// slot is rewritten each cycle.
+		for i := range intoOut {
+			intoOut[i] = Outcome{Output: -99, BlockedStage: -99}
+		}
+		gotStats, err := into.RouteCycleInto(dest, intoOut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareCycle(t, trial, "RouteCycleInto", wantOut, wantStats, intoOut, gotStats)
+
+		wOut, wStats, err := wrapper.RouteCycle(dest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareCycle(t, trial, "RouteCycle", wantOut, wantStats, wOut, wStats)
 	}
 }
 
@@ -293,7 +360,7 @@ func compareCycle(t *testing.T, trial int, engine string, wantOut []Outcome, wan
 
 // TestRouteCycleIntoZeroAlloc pins the headline property: a steady-state
 // RouteCycleInto cycle performs no allocations, under both the fused
-// default-priority kernel and the generic in-place arbiter path.
+// default-priority path and the generic in-place arbiter path.
 func TestRouteCycleIntoZeroAlloc(t *testing.T) {
 	cfg, err := topology.New(16, 4, 4, 2)
 	if err != nil {

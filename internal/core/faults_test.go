@@ -102,8 +102,9 @@ func compareNetworksBitForBit(t *testing.T, cfg topology.Config, ref, got *Netwo
 	}
 }
 
-// TestMaskedFastPathMatchesMaskedArbiterPath cross-validates the two
-// masked kernels: the nil-factory fused priority path and the explicit
+// TestMaskedFastPathMatchesMaskedArbiterPath cross-validates the
+// kernel's two arbitration paths under masks: the nil-factory fused
+// priority path and the explicit
 // PriorityArbiters factory path must make identical grant decisions on
 // a faulted network.
 func TestMaskedFastPathMatchesMaskedArbiterPath(t *testing.T) {

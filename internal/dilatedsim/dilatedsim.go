@@ -29,11 +29,11 @@ package dilatedsim
 import (
 	"fmt"
 
-	"edn/internal/core"
 	"edn/internal/dilated"
 	"edn/internal/queuesim"
 	"edn/internal/ringbuf"
 	"edn/internal/topology"
+	"edn/internal/wiring"
 )
 
 // NoRequest marks an idle input in an injection vector.
@@ -75,7 +75,7 @@ type Options struct {
 	// Factory builds one arbiter per physical switch (stages 1..L) and
 	// one per output port; nil selects input-label priority via the
 	// fused fast path.
-	Factory core.ArbiterFactory
+	Factory wiring.ArbiterFactory
 	// LatencyBuckets and LatencyBucketWidth shape the latency histogram
 	// (defaults: 1024 buckets of 1 cycle).
 	LatencyBuckets     int
@@ -115,18 +115,18 @@ func New(dcfg dilated.Config, opts Options) (*Network, error) {
 		return nil, fmt.Errorf("dilatedsim: tables built for %v, network is %v", tables.Config(), dcfg)
 	}
 	b, d, l := dcfg.B, dcfg.D, dcfg.L
-	w := queuesim.Wiring{Name: dcfg.String(), Stages: make([]queuesim.Stage, l+1)}
+	w := wiring.Wiring{Name: dcfg.String(), Stages: make([]wiring.Stage, l+1)}
 	for s := 1; s <= l; s++ {
 		width := b * d
 		if s == 1 {
 			width = b // single-wire input ports
 		}
-		w.Stages[s-1] = queuesim.Stage{
+		w.Stages[s-1] = wiring.Stage{
 			Switches: topology.Pow(b, l-1), Width: width, Buckets: b, Wires: d,
 			Shift: uint((l - s) * topology.Log2(b)), Mask: uint32(b - 1), Table: tables.subTab[s-1],
 		}
 	}
-	w.Stages[l] = queuesim.Stage{Switches: dcfg.Ports(), Width: d, Buckets: 1, Wires: 1} // output ports
+	w.Stages[l] = wiring.Stage{Switches: dcfg.Ports(), Width: d, Buckets: 1, Wires: 1} // output ports
 	e, err := queuesim.NewEngine(w, queuesim.Options{
 		Depth: opts.Depth, Policy: opts.Policy, Factory: opts.Factory,
 		LatencyBuckets: opts.LatencyBuckets, LatencyBucketWidth: opts.LatencyBucketWidth,

@@ -581,3 +581,75 @@ func TestOptionValidation(t *testing.T) {
 		t.Error("out-of-range destination accepted")
 	}
 }
+
+// TestDepth1DropMatchesDepth0Drop is the dilated delta's bridge pin:
+// with depth-1 FIFOs and Drop, batches march through the pipeline in
+// lockstep without interacting, so each batch meets exactly the grant
+// decisions the circuit-switched kernel makes for it at depth 0, one
+// Stages() later. Per-batch deliveries and per-stage drops must agree,
+// healthy and faulted, under priority and round-robin arbitration.
+func TestDepth1DropMatchesDepth0Drop(t *testing.T) {
+	const batches = 60
+	roundRobin := func() switchfab.Arbiter { return &switchfab.RoundRobinArbiter{} }
+	for _, g := range []struct{ b, d, l int }{{2, 2, 3}, {2, 4, 3}, {4, 4, 2}} {
+		cfg := dilatedCfg(t, g.b, g.d, g.l)
+		for _, fraction := range []float64{0, 0.15} {
+			m := MustCompile(cfg, NewPlan(cfg, xrand.New(31)).At(fraction))
+			for _, fc := range []struct {
+				name    string
+				factory func() switchfab.Arbiter
+			}{{"priority", nil}, {"roundrobin", roundRobin}} {
+				t.Run(fmt.Sprintf("%v/faults%g/%s", cfg, fraction, fc.name), func(t *testing.T) {
+					gen := traffic.Uniform{Rate: 1, Rng: xrand.New(99)}
+					stream := make([][]int, batches)
+					for k := range stream {
+						stream[k] = make([]int, cfg.Ports())
+						gen.GenerateInto(stream[k], cfg.Ports())
+					}
+					run := func(depth, extra int) (*Network, []int) {
+						net, err := New(cfg, Options{Depth: depth, Policy: Drop, Factory: fc.factory, Faults: m})
+						if err != nil {
+							t.Fatal(err)
+						}
+						idle := make([]int, cfg.Ports())
+						for i := range idle {
+							idle[i] = NoRequest
+						}
+						delivered := make([]int, batches+extra)
+						for k := range delivered {
+							dest := idle
+							if k < batches {
+								dest = stream[k]
+							}
+							cs, err := net.Cycle(dest)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if cs.Refused != 0 {
+								t.Fatalf("depth %d cycle %d: %d injections refused", depth, k, cs.Refused)
+							}
+							delivered[k] = cs.Delivered
+						}
+						return net, delivered
+					}
+					wave, want := run(0, 0)
+					pipe, got := run(1, wave.Stages())
+					for k := 0; k < batches; k++ {
+						if got[k+wave.Stages()] != want[k] {
+							t.Fatalf("batch %d: depth 1 delivered %d, depth 0 %d", k, got[k+wave.Stages()], want[k])
+						}
+					}
+					wantDrops, gotDrops := wave.DroppedPerStage(), pipe.DroppedPerStage()
+					for s := range wantDrops {
+						if gotDrops[s] != wantDrops[s] {
+							t.Fatalf("stage %d: depth 1 dropped %d, depth 0 %d", s+1, gotDrops[s], wantDrops[s])
+						}
+					}
+					if pipe.Totals().Delivered != wave.Totals().Delivered || pipe.Queued() != 0 {
+						t.Fatalf("totals %+v (queued %d) vs %+v", pipe.Totals(), pipe.Queued(), wave.Totals())
+					}
+				})
+			}
+		}
+	}
+}

@@ -277,23 +277,23 @@ func (m *Masks) DeadPorts() int {
 	return m.deadPorts
 }
 
-// EngineRows returns the input availability row and the per-stage
-// output rows (index stage-1, stages 1..l+1) for an engine built over
-// cfg, validating that the masks were compiled for that configuration.
-// Empty masks — nil included — return all-nil rows, which engines
-// treat as fully live.
-func (m *Masks) EngineRows(cfg topology.Config) (liveIn []bool, live [][]bool, err error) {
+// EngineRows returns the input availability row and fills rows (one
+// per stage, index stage-1, stages 1..l+1) with the stage output rows
+// for an engine built over cfg, validating that the masks were compiled
+// for that configuration. Empty masks — nil included — return all-nil
+// rows, which engines treat as fully live. It allocates nothing, so an
+// engine can call it on every mask swap.
+func (m *Masks) EngineRows(cfg topology.Config, rows [][]bool) (liveIn []bool, live [][]bool, err error) {
 	if m.Empty() {
 		return nil, nil, nil
 	}
 	if got := m.Config(); got != cfg {
 		return nil, nil, fmt.Errorf("faults: masks compiled for %v, network is %v", got, cfg)
 	}
-	live = make([][]bool, cfg.Stages())
-	for s := 1; s <= cfg.Stages(); s++ {
-		live[s-1] = m.LiveStageOutputs(s)
+	for s := range rows {
+		rows[s] = m.LiveStageOutputs(s + 1)
 	}
-	return m.liveIn, live, nil
+	return m.liveIn, rows, nil
 }
 
 // ReachableOutputs returns how many output terminals remain connected

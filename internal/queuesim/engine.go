@@ -2,56 +2,14 @@ package queuesim
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"edn/internal/anatomy"
-	"edn/internal/core"
 	"edn/internal/probe"
 	"edn/internal/ringbuf"
 	"edn/internal/stats"
-	"edn/internal/switchfab"
+	"edn/internal/wiring"
 )
-
-// Stage is one switch stage of a Wiring: Switches identical switches of
-// Width inputs, each with Buckets output buckets of Wires wires. A
-// packet leaves a switch on the bucket named by its routing digit,
-// dest>>Shift & Mask, on the first of the bucket's wires still free.
-type Stage struct {
-	Switches int
-	Width    int
-	Buckets  int
-	Wires    int
-	Shift    uint
-	Mask     uint32
-	// Table maps the stage-output label (sw*Buckets + bucket)*Wires +
-	// wire onto the next stage's input wire; nil is the identity. The
-	// last stage has no table: its output label sw*Buckets + digit is
-	// the network output terminal the packet retires at.
-	Table []int32
-}
-
-// Wiring is the structure an Engine simulates: its stages in order,
-// the first stage's inputs being the network inputs. Both fabrics of
-// the paper's comparison are wirings of the same engine. The EDN is
-// l stages of a-input hyperbars with b buckets of c wires, then c x c
-// crossbars (c buckets of 1 wire). The d-dilated delta is l stages of
-// b buckets of d wires, then one output port per terminal (d inputs, 1
-// bucket of 1 wire). The engine relies on a bucket's wires all landing
-// on one next-stage switch, which holds for both, so a packet's switch
-// path is fixed by its input and destination.
-type Wiring struct {
-	Name   string // rendered in error messages
-	Stages []Stage
-}
-
-// stage is a Stage plus the engine's per-stage state.
-type stage struct {
-	Stage
-	base    int     // first ring of the stage's input boundary
-	live    []bool  // output-label availability; nil = fully live
-	liveCap []int32 // [sw*Buckets+bucket] live wires of the bucket under live
-}
 
 // Engine is the packet engine behind both fabrics. Its pipelined state
 // is one FIFO per stage-input wire plus an occupancy bitmap over them,
@@ -59,45 +17,34 @@ type stage struct {
 // rather than to the wire count. It is not safe for concurrent use; the
 // sweep harness builds one per shard.
 type Engine struct {
-	name    string
-	opts    Options
-	drop    bool
-	st      []stage
-	inputs  int
-	outputs int
+	opts Options
+	drop bool
 
 	// Pipelined state (Depth != 0): one FIFO per stage-input wire, the
-	// wires of stage s at rings[st[s].base:]. Bit i of occ is set exactly
-	// when rings[i] is non-empty: push sets it, and every pop that
-	// empties a ring clears it.
+	// wires of stage s at rings[w.Stages[s].Base:]. Bit i of occ is set
+	// exactly when rings[i] is non-empty: push sets it, and every pop
+	// that empties a ring clears it.
 	rings []ringbuf.Ring
 	occ   []uint64
 
-	// Fault availability, swapped between cycles by SetLive. liveIn
-	// masks the network inputs (nil = all live). deadRing (nil when every
-	// wire is live) marks rings whose feeding wire is dead: their queued
-	// packets are stranded and their heads skipped by arbitration.
-	liveIn         []bool
-	faulted        bool
+	// deadRing (nil when every wire is live) marks rings whose feeding
+	// wire is dead: their queued packets are stranded and their heads
+	// skipped by arbitration.
 	deadRing       []bool
 	deadRingBuf    []bool
 	strandedQueued int64 // packets parked in dead rings (Backpressure)
 
-	factory      core.ArbiterFactory
-	fastPriority bool
-	arbiters     [][]switchfab.Arbiter // [stage][switch], lazily built
-	used         []int32               // per-bucket wires consumed this cycle
-	order        []int                 // arbiter-path arbitration order
+	// w is the wiring with its availability and arbiters, held by value
+	// so the advance loop reaches a stage in one hop. It sits after the
+	// ring state: placed first, it pushed the ring fields onto later
+	// cache lines, and the 4K dilated advance benchmarks ran up to 10%
+	// slower.
+	w wiring.State
 
-	// Unbuffered state (Depth == 0): one in-flight slot per input. The
-	// wave buffers carry each boundary's wire occupancy (origin input,
-	// -1 empty) through the within-cycle stage sweep; fate records where
-	// each pending packet's wave stopped (0 = delivered).
+	// Unbuffered state (Depth == 0): one in-flight slot per input, routed
+	// each cycle by the wiring's kernel.
 	pending []int
 	pendAt  []int64
-	waveA   []int32
-	waveB   []int32
-	fate    []int32
 
 	now       int64
 	queued    int64
@@ -123,10 +70,7 @@ type Engine struct {
 // NewEngine builds an engine over w. Options.Faults and Options.Tables
 // are ignored: the fabric constructors compile them into the wiring and
 // SetLive.
-func NewEngine(w Wiring, opts Options) (*Engine, error) {
-	if len(w.Stages) == 0 {
-		return nil, fmt.Errorf("queuesim: %s has no stages", w.Name)
-	}
+func NewEngine(w wiring.Wiring, opts Options) (*Engine, error) {
 	if opts.Depth < Unbounded {
 		return nil, fmt.Errorf("queuesim: depth %d invalid (want >= 1, 0, or Unbounded)", opts.Depth)
 	}
@@ -135,58 +79,28 @@ func NewEngine(w Wiring, opts Options) (*Engine, error) {
 	default:
 		return nil, fmt.Errorf("queuesim: unknown policy %d", int(opts.Policy))
 	}
+	ws, err := wiring.New(w, opts.Factory)
+	if err != nil {
+		return nil, fmt.Errorf("queuesim: %w", err)
+	}
 	opts = opts.withDefaults()
 	n := &Engine{
-		name:         w.Name,
-		opts:         opts,
-		drop:         opts.Policy == Drop,
-		st:           make([]stage, len(w.Stages)),
-		factory:      opts.Factory,
-		fastPriority: opts.Factory == nil,
-		arbiters:     make([][]switchfab.Arbiter, len(w.Stages)),
-		perStage:     make([]int64, len(w.Stages)),
-		lat:          stats.NewHistogram(opts.LatencyBuckets, opts.LatencyBucketWidth),
+		w:        ws,
+		opts:     opts,
+		drop:     opts.Policy == Drop,
+		perStage: make([]int64, len(w.Stages)),
+		lat:      stats.NewHistogram(opts.LatencyBuckets, opts.LatencyBucketWidth),
 	}
-	if n.factory == nil {
-		n.factory = core.PriorityArbiters
-	}
-	total, widest, buckets := 0, 0, 0
-	wires := w.Stages[0].Switches * w.Stages[0].Width
-	widestBoundary := wires
-	for s, sd := range w.Stages {
-		in := sd.Switches * sd.Width
-		out := sd.Switches * sd.Buckets * sd.Wires
-		if in != wires {
-			return nil, fmt.Errorf("queuesim: %s stage %d has %d inputs, fed by %d wires", w.Name, s+1, in, wires)
-		}
-		if out > math.MaxInt32 {
-			return nil, fmt.Errorf("queuesim: %s has %d wires in one stage, beyond the simulable limit", w.Name, out)
-		}
-		n.st[s] = stage{Stage: sd, base: total, liveCap: make([]int32, sd.Switches*sd.Buckets)}
-		n.arbiters[s] = make([]switchfab.Arbiter, sd.Switches)
-		total += in
-		widest = max(widest, sd.Width)
-		buckets = max(buckets, sd.Buckets)
-		widestBoundary = max(widestBoundary, out)
-		wires = out
-	}
-	last := w.Stages[len(w.Stages)-1]
-	n.inputs = w.Stages[0].Switches * w.Stages[0].Width
-	n.outputs = last.Switches * last.Buckets
-	n.used = make([]int32, buckets)
-	n.order = make([]int, widest)
-
 	if opts.Depth == 0 {
-		n.pending = make([]int, n.inputs)
+		n.pending = make([]int, ws.Inputs)
 		for i := range n.pending {
 			n.pending[i] = NoRequest
 		}
-		n.pendAt = make([]int64, n.inputs)
-		n.fate = make([]int32, n.inputs)
-		n.waveA = make([]int32, widestBoundary)
-		n.waveB = make([]int32, widestBoundary)
+		n.pendAt = make([]int64, ws.Inputs)
 		return n, nil
 	}
+	lastSt := ws.Stages[len(ws.Stages)-1]
+	total := lastSt.Base + lastSt.Switches*lastSt.Width
 	n.rings = make([]ringbuf.Ring, total)
 	n.occ = make([]uint64, (total+63)/64)
 	if opts.Depth >= 1 {
@@ -219,28 +133,7 @@ func NewEngine(w Wiring, opts Options) (*Engine, error) {
 // CycleStats.ParkedOnDead — and resume unharmed when the wire is
 // repaired. Not safe to call concurrently with Cycle.
 func (n *Engine) SetLive(liveIn []bool, rows [][]bool) {
-	n.liveIn = liveIn
-	n.faulted = liveIn != nil
-	for s := range n.st {
-		st := &n.st[s]
-		st.live = nil
-		if s < len(rows) {
-			st.live = rows[s]
-		}
-		if st.live == nil {
-			continue
-		}
-		n.faulted = true
-		for b := range st.liveCap {
-			liveCnt := int32(0)
-			for _, ok := range st.live[b*st.Wires : (b+1)*st.Wires] {
-				if ok {
-					liveCnt++
-				}
-			}
-			st.liveCap[b] = liveCnt
-		}
-	}
+	n.w.SetLive(liveIn, rows)
 	if n.opts.Depth != 0 {
 		n.refreshDeadRings()
 	}
@@ -251,19 +144,19 @@ func (n *Engine) SetLive(liveIn []bool, rows [][]bool) {
 // in them per policy. O(wires) per mask swap, no allocations.
 func (n *Engine) refreshDeadRings() {
 	n.deadRing, n.strandedQueued = nil, 0
-	if !n.faulted {
+	if !n.w.Faulted {
 		return
 	}
 	clear(n.deadRingBuf)
-	for w, ok := range n.liveIn {
+	for i, ok := range n.w.LiveIn {
 		if !ok {
-			n.deadRingBuf[w] = true
+			n.deadRingBuf[i] = true
 			n.deadRing = n.deadRingBuf
 		}
 	}
-	for s := 0; s+1 < len(n.st); s++ {
-		st := &n.st[s]
-		for o, ok := range st.live {
+	for s := 0; s+1 < len(n.w.Stages); s++ {
+		st := &n.w.Stages[s]
+		for o, ok := range st.Live {
 			if ok {
 				continue
 			}
@@ -271,7 +164,7 @@ func (n *Engine) refreshDeadRings() {
 			if st.Table != nil {
 				down = int(st.Table[o])
 			}
-			n.deadRingBuf[n.st[s+1].base+down] = true
+			n.deadRingBuf[n.w.Stages[s+1].Base+down] = true
 			n.deadRing = n.deadRingBuf
 		}
 	}
@@ -314,7 +207,7 @@ func (n *Engine) Depth() int { return n.opts.Depth }
 func (n *Engine) Policy() Policy { return n.opts.Policy }
 
 // Stages returns the stage count, the last stage included.
-func (n *Engine) Stages() int { return len(n.st) }
+func (n *Engine) Stages() int { return len(n.w.Stages) }
 
 // Now returns the number of cycles simulated so far.
 func (n *Engine) Now() int64 { return n.now }
@@ -377,9 +270,9 @@ func (n *Engine) SetProbe(p *probe.Probe) {
 	if p == nil {
 		return
 	}
-	p.Bind(len(n.st), ProbeMetrics)
+	p.Bind(len(n.w.Stages), ProbeMetrics)
 	if n.opts.Depth == 0 && n.pendTrace == nil {
-		n.pendTrace = make([]int32, n.inputs)
+		n.pendTrace = make([]int32, n.w.Inputs)
 	}
 	for i := range n.pendTrace {
 		n.pendTrace[i] = -1
@@ -397,18 +290,18 @@ func (n *Engine) SetAnatomy(a *anatomy.Collector) {
 	if a == nil {
 		return
 	}
-	lay := anatomy.Layout{Stages: len(n.st), Inputs: n.inputs, Outputs: n.outputs}
+	lay := anatomy.Layout{Stages: len(n.w.Stages), Inputs: n.w.Inputs, Outputs: n.w.Outputs}
 	if n.opts.Depth != 0 {
 		lay.Rings = len(n.rings)
 		lay.RingStage = make([]int32, len(n.rings))
 		lay.RingSwitch = make([]int32, len(n.rings))
-		lay.TermSwitch = make([]int32, n.outputs)
+		lay.TermSwitch = make([]int32, n.w.Outputs)
 		for i := range n.rings {
 			s := n.ringStage(i)
 			lay.RingStage[i] = int32(s)
-			lay.RingSwitch[i] = int32((i - n.st[s-1].base) / n.st[s-1].Width)
+			lay.RingSwitch[i] = int32((i - n.w.Stages[s-1].Base) / n.w.Stages[s-1].Width)
 		}
-		last := n.st[len(n.st)-1]
+		last := n.w.Stages[len(n.w.Stages)-1]
 		for t := range lay.TermSwitch {
 			lay.TermSwitch[t] = int32(t / last.Buckets)
 		}
@@ -419,7 +312,7 @@ func (n *Engine) SetAnatomy(a *anatomy.Collector) {
 // ringStage returns the 1-based stage fed by ring i.
 func (n *Engine) ringStage(i int) int {
 	s := 1
-	for s < len(n.st) && i >= n.st[s].base {
+	for s < len(n.w.Stages) && i >= n.w.Stages[s].Base {
 		s++
 	}
 	return s
@@ -433,13 +326,13 @@ func (n *Engine) recordHeat() {
 	if n.opts.Depth == 0 {
 		n.probe.AddStage(pmOccupancy, 0, float64(n.queued))
 	} else {
-		for s := range n.st {
+		for s := range n.w.Stages {
 			hi := len(n.rings)
-			if s+1 < len(n.st) {
-				hi = n.st[s+1].base
+			if s+1 < len(n.w.Stages) {
+				hi = n.w.Stages[s+1].Base
 			}
 			occ := int64(0)
-			for i := n.st[s].base; i < hi; i++ {
+			for i := n.w.Stages[s].Base; i < hi; i++ {
 				occ += int64(n.rings[i].N)
 			}
 			n.probe.AddStage(pmOccupancy, s, float64(occ))
@@ -453,7 +346,7 @@ func (n *Engine) recordHeat() {
 // (unbuffered). A dead input is never free. Closed-loop drivers poll it
 // to offer exactly when the network can accept.
 func (n *Engine) InputFree(i int) bool {
-	if n.liveIn != nil && !n.liveIn[i] {
+	if n.w.LiveIn != nil && !n.w.LiveIn[i] {
 		return false
 	}
 	if n.opts.Depth == 0 {
@@ -469,26 +362,31 @@ func (n *Engine) InputFree(i int) bool {
 // and packets sustain one hop per cycle at full throughput. Injections
 // that find their input full are counted as Refused and lost (an open
 // loop drops at the source; closed-loop drivers use InputFree to offer
-// only what fits).
+// only what fits). An arbiter that returns a malformed order aborts the
+// cycle with an error and leaves the engine mid-cycle, unfit for reuse.
 func (n *Engine) Cycle(dest []int) (CycleStats, error) {
-	if len(dest) != n.inputs {
-		return CycleStats{}, fmt.Errorf("queuesim: %s got %d injections, want %d inputs", n.name, len(dest), n.inputs)
+	if len(dest) != n.w.Inputs {
+		return CycleStats{}, fmt.Errorf("queuesim: %s got %d injections, want %d inputs", n.w.Name, len(dest), n.w.Inputs)
 	}
 	// Validate the whole injection vector before touching any state: a
 	// mid-cycle abort would leave the lifetime Totals out of step with
 	// the queue contents and break the conservation invariant forever.
 	for i, d := range dest {
-		if d != NoRequest && (d < 0 || d >= n.outputs) {
-			return CycleStats{}, fmt.Errorf("queuesim: input %d requests output %d out of range [0,%d)", i, d, n.outputs)
+		if d != NoRequest && (d < 0 || d >= n.w.Outputs) {
+			return CycleStats{}, fmt.Errorf("queuesim: input %d requests output %d out of range [0,%d)", i, d, n.w.Outputs)
 		}
 	}
 	n.now++
 	var cs CycleStats
 	if n.opts.Depth == 0 {
-		n.cycleUnbuffered(dest, &cs)
+		if err := n.cycleUnbuffered(dest, &cs); err != nil {
+			return CycleStats{}, fmt.Errorf("queuesim: %s %w", n.w.Name, err)
+		}
 	} else {
-		for s := len(n.st) - 1; s >= 0; s-- {
-			n.advanceStage(s, &cs)
+		for s := len(n.w.Stages) - 1; s >= 0; s-- {
+			if err := n.advanceStage(s, &cs); err != nil {
+				return CycleStats{}, fmt.Errorf("queuesim: %s %w", n.w.Name, err)
+			}
 		}
 		// Packets parked in dead rings never reach arbitration; they
 		// still count as parked-on-dead every cycle they wait.
@@ -499,7 +397,7 @@ func (n *Engine) Cycle(dest []int) (CycleStats, error) {
 			}
 			cs.Injected++
 			r := &n.rings[i]
-			if (n.liveIn != nil && !n.liveIn[i]) || !r.HasSpace(n.opts.Depth) {
+			if (n.w.LiveIn != nil && !n.w.LiveIn[i]) || !r.HasSpace(n.opts.Depth) {
 				cs.Refused++ // input full, or its wire severed
 				continue
 			}
@@ -534,7 +432,7 @@ func (n *Engine) Cycle(dest []int) (CycleStats, error) {
 // deadlocked caller expectation, not a simulator state.
 func (n *Engine) Drain(maxCycles int) (int, error) {
 	if n.idleBatch == nil {
-		n.idleBatch = make([]int, n.inputs)
+		n.idleBatch = make([]int, n.w.Inputs)
 		for i := range n.idleBatch {
 			n.idleBatch[i] = NoRequest
 		}
@@ -551,25 +449,6 @@ func (n *Engine) Drain(maxCycles int) (int, error) {
 		return maxCycles, nil
 	}
 	return maxCycles, fmt.Errorf("queuesim: %d packets still queued after %d drain cycles", n.queued, maxCycles)
-}
-
-// arbiterOrder returns switch sw of stage s's arbitration order (nil =
-// natural order). Callers consult it only for busy switches, so
-// stateful arbiters advance exactly as in core.
-func (n *Engine) arbiterOrder(s, sw, width int) []int {
-	if n.arbiters[s][sw] == nil {
-		n.arbiters[s][sw] = n.factory()
-	}
-	switch a := n.arbiters[s][sw].(type) {
-	case switchfab.PriorityArbiter:
-		return nil
-	case switchfab.InPlaceArbiter:
-		order := n.order[:width]
-		a.OrderInto(order)
-		return order
-	default:
-		return a.Order(width)
-	}
 }
 
 // push appends pkt to ring i and marks the ring occupied.
@@ -601,21 +480,21 @@ func (n *Engine) pop(i int) uint64 {
 // land in stage s+1, which has already advanced), so the walk may run
 // over a copy of each bitmap word, and every decision is the one a scan
 // of all the stage's FIFOs would make.
-func (n *Engine) advanceStage(s int, cs *CycleStats) {
-	st := &n.st[s]
-	lo, hi := st.base, st.base+st.Switches*st.Width
-	used := n.used[:st.Buckets]
+func (n *Engine) advanceStage(s int, cs *CycleStats) error {
+	st := &n.w.Stages[s]
+	lo, hi := st.Base, st.Base+st.Switches*st.Width
+	used := n.w.Used[:st.Buckets]
 	sw, swEnd := -1, lo // the open switch, and one past its last ring
 	for wi := lo >> 6; wi<<6 < hi; wi++ {
-		w := n.occ[wi]
+		word := n.occ[wi]
 		if wi<<6 < lo {
-			w &^= 1<<(lo&63) - 1
+			word &^= 1<<(lo&63) - 1
 		}
 		if (wi+1)<<6 > hi {
-			w &= 1<<(hi&63) - 1
+			word &= 1<<(hi&63) - 1
 		}
-		for ; w != 0; w &= w - 1 {
-			i := wi<<6 + bits.TrailingZeros64(w)
+		for ; word != 0; word &= word - 1 {
+			i := wi<<6 + bits.TrailingZeros64(word)
 			if n.deadRing != nil && n.deadRing[i] {
 				continue // parked on a dead wire
 			}
@@ -623,22 +502,28 @@ func (n *Engine) advanceStage(s int, cs *CycleStats) {
 				sw = (i - lo) / st.Width
 				swEnd = lo + (sw+1)*st.Width
 				clear(used)
-				if !n.fastPriority {
-					n.advanceArbitrated(s, st, sw, cs)
+				if !n.w.FastPriority {
+					if err := n.advanceArbitrated(s, st, sw, cs); err != nil {
+						return err
+					}
 				}
 			}
-			if n.fastPriority {
+			if n.w.FastPriority {
 				n.advanceHead(s, st, sw, i, cs)
 			}
 		}
 	}
+	return nil
 }
 
 // advanceArbitrated advances every live occupied head of switch sw of
 // stage s in the switch arbiter's order.
-func (n *Engine) advanceArbitrated(s int, st *stage, sw int, cs *CycleStats) {
-	swIn := st.base + sw*st.Width
-	order := n.arbiterOrder(s, sw, st.Width)
+func (n *Engine) advanceArbitrated(s int, st *wiring.LiveStage, sw int, cs *CycleStats) error {
+	swIn := st.Base + sw*st.Width
+	order, err := n.w.ArbiterOrder(s, sw)
+	if err != nil {
+		return err
+	}
 	for idx := 0; idx < st.Width; idx++ {
 		i := swIn + idx
 		if order != nil {
@@ -649,6 +534,7 @@ func (n *Engine) advanceArbitrated(s int, st *stage, sw int, cs *CycleStats) {
 		}
 		n.advanceHead(s, st, sw, i, cs)
 	}
+	return nil
 }
 
 // advanceHead tries to move the head packet of ring i through switch sw
@@ -658,15 +544,15 @@ func (n *Engine) advanceArbitrated(s int, st *stage, sw int, cs *CycleStats) {
 // cycle — used counts grants, wires skipped as full and dead wires
 // alike. A head that cannot advance is dropped (Drop), parked (its
 // bucket has no live wire) or blocked.
-func (n *Engine) advanceHead(s int, st *stage, sw, i int, cs *CycleStats) {
+func (n *Engine) advanceHead(s int, st *wiring.LiveStage, sw, i int, cs *CycleStats) {
 	pkt := n.rings[i].Peek()
 	d := int((uint32(pkt) >> st.Shift) & st.Mask)
-	last := s == len(n.st)-1
+	last := s == len(n.w.Stages)-1
 	blocker := -1 // anatomy node to blame: first full FIFO, or the terminal
-	for int(n.used[d]) < st.Wires {
-		o := (sw*st.Buckets+d)*st.Wires + int(n.used[d])
-		n.used[d]++
-		if st.live != nil && !st.live[o] {
+	for int(n.w.Used[d]) < st.Wires {
+		o := (sw*st.Buckets+d)*st.Wires + int(n.w.Used[d])
+		n.w.Used[d]++
+		if st.Live != nil && !st.Live[o] {
 			continue // dead wire: permanently unusable, skip it
 		}
 		if last {
@@ -680,7 +566,7 @@ func (n *Engine) advanceHead(s int, st *stage, sw, i int, cs *CycleStats) {
 		if st.Table != nil {
 			o = int(st.Table[o])
 		}
-		down := n.st[s+1].base + o
+		down := n.w.Stages[s+1].Base + o
 		if n.rings[down].HasSpace(n.opts.Depth) {
 			n.pop(i)
 			n.push(down, pkt)
@@ -696,7 +582,7 @@ func (n *Engine) advanceHead(s int, st *stage, sw, i int, cs *CycleStats) {
 			blocker = down // full FIFO: the wire is consumed for the cycle
 		}
 	}
-	parked := st.live != nil && st.liveCap[sw*st.Buckets+d] == 0
+	parked := st.Dead(sw*st.Buckets + d)
 	if last && !parked {
 		blocker = len(n.rings) + sw*st.Buckets + d
 	}
@@ -739,7 +625,7 @@ func (n *Engine) retire(pkt uint64, cs *CycleStats) {
 	n.queued--
 	cs.Delivered++
 	if n.probe != nil {
-		n.probe.Close(pkt, len(n.st), probe.EvDeliver, n.now)
+		n.probe.Close(pkt, len(n.w.Stages), probe.EvDeliver, n.now)
 	}
 	if n.deliver != nil {
 		n.deliver(ringbuf.Dest(pkt), int64(uint32(pkt>>32)))
@@ -747,16 +633,13 @@ func (n *Engine) retire(pkt uint64, cs *CycleStats) {
 }
 
 // cycleUnbuffered is the Depth == 0 cycle. Every input's in-flight
-// packet (retained from a blocked attempt, or freshly injected) sweeps
-// the stages within the cycle as one wave: per switch, in arbitration
-// order, each packet takes the first free live wire of its bucket —
-// core.routeStage's rule, so Drop reproduces the memoryless engine
-// packet for packet. A packet pending on a dead input is blocked at
-// stage 1 before arbitration. Fates are then applied in input order:
-// deliveries retire, and blocked packets are dropped (Drop) or resubmit
-// from their input next cycle (Backpressure, the Section 4/5.1
-// closed-loop regime).
-func (n *Engine) cycleUnbuffered(dest []int, cs *CycleStats) {
+// packet (retained from a blocked attempt, or freshly injected) is
+// routed by the wiring's circuit-switched kernel, so Drop is the
+// memoryless router of internal/core packet for packet. Fates are then
+// applied in input order: deliveries retire, and blocked packets are
+// dropped (Drop) or resubmit from their input next cycle (Backpressure,
+// the Section 4/5.1 closed-loop regime).
+func (n *Engine) cycleUnbuffered(dest []int, cs *CycleStats) error {
 	for i := range n.pending {
 		if n.pending[i] != NoRequest {
 			if dest[i] != NoRequest {
@@ -770,7 +653,7 @@ func (n *Engine) cycleUnbuffered(dest []int, cs *CycleStats) {
 			continue
 		}
 		cs.Injected++
-		if n.liveIn != nil && !n.liveIn[i] {
+		if n.w.LiveIn != nil && !n.w.LiveIn[i] {
 			cs.Refused++ // severed input wire: refused at the source
 			continue
 		}
@@ -788,89 +671,24 @@ func (n *Engine) cycleUnbuffered(dest []int, cs *CycleStats) {
 		}
 	}
 
-	cur := n.waveA[:n.inputs]
-	for i, d := range n.pending {
-		cur[i], n.fate[i] = -1, 0
-		switch {
-		case d == NoRequest:
-		case n.liveIn != nil && !n.liveIn[i]:
-			n.fate[i] = 1 // blocked at stage 1 before arbitration
-		default:
-			cur[i] = int32(i)
-		}
+	if err := n.w.Route(n.pending); err != nil {
+		return err
 	}
-	next := n.waveB
-	for s := range n.st {
-		st := &n.st[s]
-		last := s == len(n.st)-1
-		nxt := next[:st.Switches*st.Buckets*st.Wires]
-		if !last {
-			for i := range nxt {
-				nxt[i] = -1
-			}
-		}
-		used := n.used[:st.Buckets]
-		for sw := 0; sw < st.Switches; sw++ {
-			swIn := sw * st.Width
-			var order []int
-			if !n.fastPriority {
-				busy := false
-				for _, org := range cur[swIn : swIn+st.Width] {
-					busy = busy || org >= 0
-				}
-				if !busy {
-					continue
-				}
-				order = n.arbiterOrder(s, sw, st.Width)
-			}
-			clear(used)
-			for idx := 0; idx < st.Width; idx++ {
-				p := idx
-				if order != nil {
-					p = order[idx]
-				}
-				org := cur[swIn+p]
-				if org < 0 {
-					continue
-				}
-				d := int((uint32(n.pending[org]) >> st.Shift) & st.Mask)
-				o := -1
-				for o < 0 && int(used[d]) < st.Wires {
-					k := (sw*st.Buckets+d)*st.Wires + int(used[d])
-					used[d]++
-					if st.live == nil || st.live[k] {
-						o = k
-					}
-				}
-				switch {
-				case o < 0:
-					n.fate[org] = int32(s + 1)
-				case last:
-					// delivered: fate stays 0
-				case st.Table != nil:
-					nxt[st.Table[o]] = org
-				default:
-					nxt[o] = org
-				}
-			}
-		}
-		cur, next = nxt, cur[:cap(cur)]
-	}
-
 	for i, d := range n.pending {
 		if d == NoRequest {
 			continue
 		}
-		s := int(n.fate[i])
+		f := int(n.w.Fate[i]) // the terminal reached, or -s when blocked at stage s
+		s := -f
 		switch {
-		case s == 0:
+		case f >= 0:
 			// A first-attempt delivery has latency 1: one whole-network
 			// transit inside the injection cycle.
 			n.lat.Add(float64(n.now-n.pendAt[i]) + 1)
 			n.queued--
 			cs.Delivered++
 			if n.probe != nil {
-				n.probe.CloseRec(n.pendTrace[i], len(n.st), probe.EvDeliver, n.now)
+				n.probe.CloseRec(n.pendTrace[i], len(n.w.Stages), probe.EvDeliver, n.now)
 				n.pendTrace[i] = -1
 			}
 			if n.anat != nil {
@@ -894,7 +712,7 @@ func (n *Engine) cycleUnbuffered(dest []int, cs *CycleStats) {
 			}
 			n.pending[i] = NoRequest
 		default:
-			parked := n.faulted && n.pinnedDead(i, d)
+			parked := n.w.Faulted && n.w.PinnedDead(i, d)
 			ev, metric := probe.EvBlock, pmHolBlocked
 			if parked {
 				cs.ParkedOnDead++
@@ -912,27 +730,5 @@ func (n *Engine) cycleUnbuffered(dest []int, cs *CycleStats) {
 	if n.anat != nil {
 		n.anat.EndCycle0()
 	}
-}
-
-// pinnedDead reports whether input i's packet to dest can never deliver
-// under the current mask: its input is dead, or a bucket on its switch
-// path — the terminal included — has no live wire. The path is unique
-// because every bucket's wires land on one next-stage switch.
-func (n *Engine) pinnedDead(i, dest int) bool {
-	if n.liveIn != nil && !n.liveIn[i] {
-		return true
-	}
-	w := i // the packet's input wire at the current stage
-	for s := range n.st {
-		st := &n.st[s]
-		b := (w/st.Width)*st.Buckets + int((uint32(dest)>>st.Shift)&st.Mask)
-		if st.live != nil && st.liveCap[b] == 0 {
-			return true
-		}
-		w = b * st.Wires
-		if st.Table != nil {
-			w = int(st.Table[w])
-		}
-	}
-	return false
+	return nil
 }

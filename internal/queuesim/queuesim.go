@@ -1,22 +1,22 @@
-// Package queuesim is the buffered, packet-level counterpart of the
-// circuit-switched cycle engine in internal/core, and the one packet
-// engine behind both fabrics of the paper's comparison. Where core's
-// RouteCycle resolves a whole request batch in one memoryless network
-// cycle (losers vanish, matching the paper's Section 3.2 model), this
-// package gives every stage-input wire a FIFO: packets advance one
-// stage per cycle, losers wait (or drop), and each packet carries its
-// injection timestamp so the simulator measures what the closed forms
-// cannot — queueing delay, tail latency and saturation throughput under
-// temporally correlated load.
+// Package queuesim is the one packet engine behind both fabrics of the
+// paper's comparison. Where the memoryless router of internal/core
+// resolves a whole request batch in one network cycle (losers vanish,
+// matching the paper's Section 3.2 model), this package gives every
+// stage-input wire a FIFO: packets advance one stage per cycle, losers
+// wait (or drop), and each packet carries its injection timestamp so
+// the simulator measures what the closed forms cannot — queueing delay,
+// tail latency and saturation throughput under temporally correlated
+// load.
 //
-// The Engine runs a Wiring: per stage, the switch count and width, the
-// buckets per switch and wires per bucket, the routing digit's shift
-// and mask, and the flat int32 interstage table into the next stage.
-// New compiles an EDN (topology.Config, faults.Masks, topology.Tables)
-// into a wiring; internal/dilatedsim compiles the d-dilated delta into
-// another. Head-of-line arbitration per switch uses the switchfab
-// arbiter orders (the nil-factory default takes the fused priority
-// path). All FIFO storage is ring buffers sized at construction, so the
+// The Engine runs an internal/wiring Wiring: per stage, the switch
+// count and width, the buckets per switch and wires per bucket, the
+// routing digit's shift and mask, and the flat int32 interstage table
+// into the next stage. New compiles an EDN (topology.Config,
+// faults.Masks, topology.Tables) into a wiring; internal/dilatedsim
+// compiles the d-dilated delta into another. The engine holds the
+// wiring's state by value: its availability masks and its per-switch
+// arbiters (the nil-factory default takes the fused priority path).
+// All FIFO storage is ring buffers sized at construction, so the
 // per-cycle advance is allocation-free in steady state for bounded
 // depths (BenchmarkQueueCycle pins this at 0 allocs/op).
 //
@@ -36,32 +36,35 @@
 //     FIFO head, under Drop they are discarded.
 //   - Depth == Unbounded: FIFOs grow without limit — the infinite
 //     buffering idealization.
-//   - Depth == 0: no interstage buffering at all. Each offered packet
-//     sweeps every stage within one cycle, taking wires by core's rule;
-//     Backpressure then means a blocked packet is resubmitted from its
-//     input next cycle — exactly the Section 4/5.1 closed-loop regime —
-//     and Drop reproduces the memoryless Section 3.2 model packet for
-//     packet.
+//   - Depth == 0: no interstage buffering at all. Each cycle the wiring's
+//     circuit-switched kernel (wiring.State.Route, the kernel behind
+//     internal/core) routes every input's in-flight packet through all
+//     stages at once; Backpressure then means a blocked packet is
+//     resubmitted from its input next cycle — exactly the Section 4/5.1
+//     closed-loop regime — and Drop is the memoryless Section 3.2 router
+//     packet for packet.
 //
 // The depth-1 Drop configuration is the bridge between the two worlds:
 // batches march through the pipeline in lockstep, one stage per cycle,
 // without ever interacting, so its per-batch grant decisions — and
 // therefore its bandwidth and per-stage blocking — are bit-identical to
-// core's, just time-shifted by the pipeline fill. The equivalence tests
-// pin this at depth 1 and at depth 0.
+// the kernel's, just time-shifted by the pipeline fill. Because the
+// pipelined stages and the kernel are separate loops, that pin compares
+// two implementations, for the EDN against core and for the dilated
+// delta against depth 0.
 package queuesim
 
 import (
 	"fmt"
 
-	"edn/internal/core"
 	"edn/internal/faults"
 	"edn/internal/ringbuf"
 	"edn/internal/topology"
+	"edn/internal/wiring"
 )
 
 // NoRequest marks an idle input in an injection vector.
-const NoRequest = core.NoRequest
+const NoRequest = wiring.NoRequest
 
 // Unbounded selects per-wire FIFOs that grow without limit.
 const Unbounded = ringbuf.Unbounded
@@ -101,7 +104,7 @@ type Options struct {
 	Policy Policy
 	// Factory builds one arbiter per physical switch; nil selects the
 	// paper's input-label priority rule via the fused fast path.
-	Factory core.ArbiterFactory
+	Factory wiring.ArbiterFactory
 	// LatencyBuckets and LatencyBucketWidth shape the latency histogram
 	// (defaults: 1024 buckets of 1 cycle). Latencies beyond the last
 	// bucket are still counted exactly in mean and max but degrade the
@@ -194,25 +197,9 @@ type Network struct {
 // New builds a queueing network over cfg. See Options for the depth and
 // policy semantics.
 func New(cfg topology.Config, opts Options) (*Network, error) {
-	tables := opts.Tables
-	if tables == nil {
-		var err error
-		if tables, err = topology.NewTables(cfg); err != nil {
-			return nil, err
-		}
-	} else if tables.Config() != cfg {
-		return nil, fmt.Errorf("queuesim: tables built for %v, network is %v", tables.Config(), cfg)
-	}
-	logB, logC := topology.Log2(cfg.B), topology.Log2(cfg.C)
-	w := Wiring{Name: cfg.String(), Stages: make([]Stage, cfg.Stages())}
-	for s := 1; s <= cfg.L; s++ {
-		w.Stages[s-1] = Stage{
-			Switches: cfg.SwitchesInStage(s), Width: cfg.A, Buckets: cfg.B, Wires: cfg.C,
-			Shift: uint(logC + (cfg.L-s)*logB), Mask: uint32(cfg.B - 1), Table: tables.Interstage(s),
-		}
-	}
-	w.Stages[cfg.L] = Stage{ // the c x c output crossbars
-		Switches: cfg.SwitchesInStage(cfg.L + 1), Width: cfg.C, Buckets: cfg.C, Wires: 1, Mask: uint32(cfg.C - 1),
+	w, err := wiring.EDN(cfg, opts.Tables)
+	if err != nil {
+		return nil, err
 	}
 	e, err := NewEngine(w, opts)
 	if err != nil {
@@ -232,17 +219,11 @@ func New(cfg topology.Config, opts Options) (*Network, error) {
 // compiled for this network's configuration; on error the previous
 // masks remain in effect. Not safe to call concurrently with Cycle.
 func (n *Network) UpdateFaults(m *faults.Masks) error {
-	if m.Empty() {
-		n.SetLive(nil, nil)
-		return nil
+	liveIn, rows, err := m.EngineRows(n.cfg, n.rows)
+	if err != nil {
+		return fmt.Errorf("queuesim: %w", err)
 	}
-	if got := m.Config(); got != n.cfg {
-		return fmt.Errorf("queuesim: masks compiled for %v, network is %v", got, n.cfg)
-	}
-	for s := range n.rows {
-		n.rows[s] = m.LiveStageOutputs(s + 1)
-	}
-	n.SetLive(m.LiveInputs(), n.rows)
+	n.SetLive(liveIn, rows)
 	return nil
 }
 

@@ -426,6 +426,21 @@ func TestOptionValidation(t *testing.T) {
 	if _, err := q0.Cycle(bad); err == nil {
 		t.Error("depth-0 out-of-range destination should be rejected")
 	}
+	// An arbiter whose order has the wrong length is an error at every
+	// depth, not a panic.
+	short := func() switchfab.Arbiter { return switchfab.RandomArbiter{Perm: func(int) []int { return []int{0} }} }
+	for _, depth := range []int{0, 1} {
+		qa, err := New(cfg, Options{Depth: depth, Factory: short})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := 0; c < 3 && err == nil; c++ {
+			_, err = qa.Cycle(make([]int, cfg.Inputs()))
+		}
+		if err == nil {
+			t.Errorf("depth %d: malformed arbitration order accepted", depth)
+		}
+	}
 }
 
 // TestRejectedCycleLeavesStateConsistent pins that a rejected injection

@@ -4,17 +4,22 @@
 // cross-checked against a discrete-event run with the identical switch
 // semantics.
 //
-// Two harnesses live here. The circuit-switched one (MeasurePA and its
-// relatives) drives the single-cycle router of internal/core. The
-// packet harness drives the queuesim engine over a Fabric — an EDN, or
-// the dilated delta that spends the same wire budget on replicated
-// links — with one function per measurement mode: latency, saturation
-// sweeps and points, the permutation drain, availability sweeps and
-// points, lifetimes, closed loops and their points, and closed-loop
-// lifetimes. Everything that differs between the two fabrics (wiring,
-// fault model, result label) sits behind Fabric in fabric.go, so the
-// shard fan-out, seeding, observation and merge code is written once
-// and the same Options replay the same traffic on either fabric.
+// One circuit-switched kernel sits under both harnesses here:
+// wiring.State.Route, the paper's Section 2 cycle over a wiring. The
+// request-level harness (MeasurePA and its relatives) reads it through
+// internal/core's EDN router, with per-request Outcomes and per-stage
+// blocking. The packet harness drives the queuesim engine over a Fabric
+// — an EDN, or the dilated delta that spends the same wire budget on
+// replicated links — with one function per measurement mode: latency,
+// saturation sweeps and points, the permutation drain, availability
+// sweeps and points, lifetimes, closed loops and their points, and
+// closed-loop lifetimes. At depth 0 under Drop that engine runs the
+// same kernel, so a latency sweep measures either fabric's
+// circuit-switched acceptance. Everything that differs between the two
+// fabrics (wiring, fault model, result label) sits behind Fabric in
+// fabric.go, so the shard fan-out, seeding, observation and merge code
+// is written once and the same Options replay the same traffic on
+// either fabric.
 package simulate
 
 import (

@@ -1,5 +1,7 @@
 package switchfab
 
+import "fmt"
+
 // Arbiter chooses the order in which a switch considers its inputs when a
 // bucket is oversubscribed. Inputs earlier in the order win ties.
 //
@@ -17,7 +19,7 @@ type Arbiter interface {
 
 // InPlaceArbiter is an optional extension implemented by arbiters that
 // can write their arbitration order into a caller-provided buffer, which
-// lets the routing hot path (Hyperbar.RouteInto) run allocation-free.
+// lets the routing hot path run allocation-free.
 type InPlaceArbiter interface {
 	Arbiter
 	// OrderInto fills order (whose length is the switch's input count)
@@ -25,6 +27,27 @@ type InPlaceArbiter interface {
 	// advancing any internal state identically, so the two entry points
 	// are interchangeable cycle for cycle.
 	OrderInto(order []int)
+}
+
+// ArbitrationOrder returns arb's order for one cycle of an n-input
+// switch, nil standing for the natural order 0..n-1. A nil arbiter and
+// PriorityArbiter need no order; an InPlaceArbiter fills buf[:n], so the
+// call allocates nothing; any other arbiter's Order result must have
+// length n.
+func ArbitrationOrder(arb Arbiter, n int, buf []int) ([]int, error) {
+	switch a := arb.(type) {
+	case nil, PriorityArbiter:
+		return nil, nil
+	case InPlaceArbiter:
+		a.OrderInto(buf[:n])
+		return buf[:n], nil
+	default:
+		order := a.Order(n)
+		if len(order) != n {
+			return nil, fmt.Errorf("switchfab: arbiter returned order of length %d, want %d", len(order), n)
+		}
+		return order, nil
+	}
 }
 
 // PriorityArbiter grants competing inputs in increasing input-label order,

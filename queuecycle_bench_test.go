@@ -5,12 +5,13 @@ import (
 	"testing"
 )
 
-// BenchmarkQueueCycle tracks the buffered packet-level advance loop at
-// the same geometries BenchmarkRouteCycleInto uses for the unbuffered
-// engine: 1K and 4K ports under sustained uniform load. One benchmark
-// op is one network cycle — FIFO-head arbitration across every stage,
-// interstage transfers, injection and latency recording — and, like the
-// unbuffered hot path, the bounded-depth steady state must stay at
+// BenchmarkQueueCycle tracks the packet engine's cycle at the same
+// geometries BenchmarkRouteCycleInto uses for the memoryless router:
+// 1K and 4K ports under sustained uniform load. One benchmark op is one
+// network cycle — FIFO-head arbitration across every stage, interstage
+// transfers, injection and latency recording at depth >= 1; the
+// circuit-switched kernel plus the in-flight slot bookkeeping at depth
+// 0 — and, like RouteCycleInto, the steady state must stay at
 // 0 allocs/op under -benchmem (all ring, scratch and histogram storage
 // is preallocated at construction).
 func BenchmarkQueueCycle(b *testing.B) {
@@ -30,6 +31,8 @@ func BenchmarkQueueCycle(b *testing.B) {
 		{"depth1-drop", 1, QueueDrop, false},                 // the core-equivalent corner
 		{"depth4-backpressure", 4, QueueBackpressure, false}, // the store-and-forward default
 		{"depth4-drop-faulted", 4, QueueDrop, true},          // degraded mode: 5% dead wires
+		{"depth0-drop", 0, QueueDrop, false},                 // the circuit-switched kernel
+		{"depth0-backpressure", 0, QueueBackpressure, false}, // the kernel with resubmission
 	}
 	for _, g := range geometries {
 		cfg, err := New(g.a, g.bb, g.c, g.l)
